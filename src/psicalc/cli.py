@@ -12,8 +12,8 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +21,8 @@ import numpy as np
 from . import plane as plane_mod
 from .expansion import expand_operator, reconstruct_operator
 from .operators import (
+    DELTA_FAMILIES,
+    SHEFFER_FACTORS,
     DeltaOperator,
     OperatorMatrix,
     delta_by_name,
@@ -32,39 +34,26 @@ from .poly import Poly
 from .ratfun import QSYM, parse_ratfun
 from .sequences import basic_sequence, q_laguerre_closed, sheffer_sequence
 from .su2q import polar_decompose, su2_build, su2_commutator_check
-from .verify import SUITES, run_suites, _sheffer_factor
+from .verify import SUITES, run_suites
 from .weyl import weyl_build, weyl_check
 
 USAGE_ERROR = 2
 
-
-@dataclass
-class RunConfig:
-    """Validated parameters of one invocation."""
-
-    command: str
-    psi: str = "qgauss"
-    size: int = 8
-    n: int = 3
-    j: float = 1.0
-    q: complex | None = None
-    alpha: Fraction = Fraction(0)
-    delta: str = "derivative"
-    scaling: str = "one"
-    op: str = "qscale"
-    fmt: str = "text"
-    tolerance: float = 1e-10
-    suites: tuple = ("all",)
-
-    def emit(self, text: str) -> None:
-        out = sys.stdout
-        out.write(text)
-        if not text.endswith("\n"):
-            out.write("\n")
+# --op choices: operator tables on x^0..x^{dim-1} that `expand` expands
+OPERATORS = {
+    "identity": lambda psi, dim: OperatorMatrix.from_action(lambda p: p, dim),
+    "number": lambda psi, dim: OperatorMatrix.from_action(
+        lambda p: psi_derivative(psi, p).shifted(1), dim
+    ),
+    "qscale": lambda psi, dim: scaling_matrix(QSYM, dim),
+}
 
 
-class CliError(Exception):
-    pass
+def emit(text: str) -> None:
+    """Write one output block to stdout, newline-terminated."""
+    sys.stdout.write(text)
+    if not text.endswith("\n"):
+        sys.stdout.write("\n")
 
 
 def _load_psi(name: str, n_max: int) -> PsiSequence:
@@ -75,56 +64,56 @@ def _load_psi(name: str, n_max: int) -> PsiSequence:
             with open(name, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
         except OSError as exc:
-            raise CliError(f"cannot read psi file: {exc}") from None
+            raise ValueError(f"cannot read psi file: {exc}") from None
         except json.JSONDecodeError as exc:
-            raise CliError(f"malformed psi file: {exc}") from None
+            raise ValueError(f"malformed psi file: {exc}") from None
         if isinstance(payload, dict):
             label = payload.get("name", name)
             rows = payload.get("psi")
         else:
             label, rows = name, payload
         if not isinstance(rows, list) or not all(isinstance(r, str) for r in rows):
-            raise CliError("malformed psi file: expected a JSON list of value strings")
+            raise ValueError("malformed psi file: expected a JSON list of value strings")
         try:
             values = [parse_ratfun(r) for r in rows]
             return custom(label, values)
         except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"malformed psi file: {exc}") from None
+            raise ValueError(f"malformed psi file: {exc}") from None
     known = ", ".join(sorted(BUILTIN_PSIS))
-    raise CliError(f"unknown psi sequence {name!r}; built-ins: {known} (or a .json table)")
+    raise ValueError(f"unknown psi sequence {name!r}; built-ins: {known} (or a .json table)")
 
 
 def _render_poly(p: Poly) -> list[str]:
     return [c.render() for c in p.coeffs]
 
 
-def _emit_rows(cfg: RunConfig, header: list[str], rows: list[list[str]], payload: dict) -> None:
-    if cfg.fmt == "json":
-        cfg.emit(json.dumps(payload))
-    elif cfg.fmt == "csv":
+def _emit_rows(fmt: str, header: list[str], rows: list[list[str]], payload: dict) -> None:
+    if fmt == "json":
+        emit(json.dumps(payload))
+    elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        cfg.emit(buf.getvalue())
+        emit(buf.getvalue())
     else:
         widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
                   for i, h in enumerate(header)]
-        cfg.emit("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+        emit("  ".join(h.ljust(w) for h, w in zip(header, widths)))
         for r in rows:
-            cfg.emit("  ".join(v.ljust(w) for v, w in zip(r, widths)))
+            emit("  ".join(v.ljust(w) for v, w in zip(r, widths)))
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    psi = _load_psi(cfg.psi, max(cfg.size, 1))
+def cmd_table(args: argparse.Namespace) -> int:
+    psi = _load_psi(args.psi, max(args.N, 1))
     rows = []
-    for n in range(cfg.size + 1):
+    for n in range(args.N + 1):
         rows.append([str(n), psi.number(n).render(), psi.factorial(n).render()])
     payload = {
         "psi": psi.name,
         "rows": [{"n": int(r[0]), "n_psi": r[1], "n_psi_fact": r[2]} for r in rows],
     }
-    _emit_rows(cfg, ["n", "n_psi", "n_psi_fact"], rows, payload)
+    _emit_rows(args.format, ["n", "n_psi", "n_psi_fact"], rows, payload)
     return 0
 
 
@@ -136,83 +125,63 @@ def _sequence_payload(psi: PsiSequence, delta: DeltaOperator, polys) -> dict:
     }
 
 
-def _emit_polys(cfg: RunConfig, payload: dict, polys) -> None:
-    if cfg.fmt == "json":
-        cfg.emit(json.dumps(payload))
+def _emit_polys(fmt: str, payload: dict, polys) -> None:
+    if fmt == "json":
+        emit(json.dumps(payload))
         return
     rows = [[str(n)] + _render_poly(p) for n, p in enumerate(polys)]
     header = ["n"] + [f"x^{k}" for k in range(max(len(r) for r in rows))]
     rows = [r + [""] * (len(header) - len(r)) for r in rows]
-    if cfg.fmt == "csv":
-        _emit_rows(cfg, header, rows, payload)
-    else:
-        _emit_rows(cfg, header, rows, payload)
+    _emit_rows(fmt, header, rows, payload)
 
 
-def cmd_basic(cfg: RunConfig) -> int:
-    psi = _load_psi(cfg.psi, max(cfg.size + 2, 16))
-    delta = delta_by_name(cfg.delta, psi, cfg.size + 1)
-    seq = basic_sequence(delta, cfg.size, method="solve")
-    _emit_polys(cfg, _sequence_payload(psi, delta, seq.polys), seq.polys)
+def cmd_basic(args: argparse.Namespace) -> int:
+    psi = _load_psi(args.psi, max(args.N + 2, 16))
+    delta = delta_by_name(args.Q, psi, args.N + 1)
+    seq = basic_sequence(delta, args.N, method="solve")
+    _emit_polys(args.format, _sequence_payload(psi, delta, seq.polys), seq.polys)
     return 0
 
 
-def cmd_sheffer(cfg: RunConfig) -> int:
-    psi = _load_psi(cfg.psi, max(cfg.size + 2, 16))
-    delta = delta_by_name(cfg.delta, psi, cfg.size + 1)
-    factor = _build_scaling(cfg, psi, cfg.size + 1)
-    seq = sheffer_sequence(delta, factor, cfg.size)
+def cmd_sheffer(args: argparse.Namespace) -> int:
+    psi = _load_psi(args.psi, max(args.N + 2, 16))
+    delta = delta_by_name(args.Q, psi, args.N + 1)
+    factor = SHEFFER_FACTORS[args.S](psi, args.N + 1, args.alpha)
+    seq = sheffer_sequence(delta, factor, args.N)
     payload = _sequence_payload(psi, delta, seq.polys)
     payload["S"] = [c.render() for c in factor.coeffs]
-    _emit_polys(cfg, payload, seq.polys)
+    _emit_polys(args.format, payload, seq.polys)
     return 0
 
 
-def _build_scaling(cfg: RunConfig, psi: PsiSequence, order: int):
-    if cfg.scaling == "laguerre_order":
-        from .operators import laguerre_scaling
-
-        return laguerre_scaling(psi, cfg.alpha, order)
-    return _sheffer_factor(cfg.scaling, psi, order)
-
-
-def cmd_laguerre(cfg: RunConfig) -> int:
-    psi = qgauss(max(cfg.n + 2, 16))
-    delta = laguerre_delta(psi, cfg.n + 1)
-    polys = [q_laguerre_closed(psi, k) for k in range(cfg.n + 1)]
-    _emit_polys(cfg, _sequence_payload(psi, delta, polys), polys)
+def cmd_laguerre(args: argparse.Namespace) -> int:
+    psi = qgauss(max(args.n + 2, 16))
+    delta = laguerre_delta(psi, args.n + 1)
+    polys = [q_laguerre_closed(psi, k) for k in range(args.n + 1)]
+    _emit_polys(args.format, _sequence_payload(psi, delta, polys), polys)
     return 0
 
 
-def cmd_expand(cfg: RunConfig) -> int:
-    psi = _load_psi(cfg.psi, max(cfg.size + 2, 16))
-    delta = delta_by_name(cfg.delta, psi, cfg.size + 1)
-    dim = cfg.size + 1
-    if cfg.op == "identity":
-        table = OperatorMatrix.from_action(lambda p: p, dim)
-    elif cfg.op == "number":
-        table = OperatorMatrix.from_action(
-            lambda p: psi_derivative(psi, p).shifted(1), dim
-        )
-    elif cfg.op == "qscale":
-        table = scaling_matrix(QSYM, dim)
-    else:
-        raise CliError(f"unknown operator {cfg.op!r}; choose identity, number, qscale")
+def cmd_expand(args: argparse.Namespace) -> int:
+    psi = _load_psi(args.psi, max(args.N + 2, 16))
+    delta = delta_by_name(args.Q, psi, args.N + 1)
+    dim = args.N + 1
+    table = OPERATORS[args.op](psi, dim)
     coeff_polys = expand_operator(table, delta)
     exact = reconstruct_operator(coeff_polys, delta, dim).cols == table.cols
     payload = {
         "psi": psi.name,
         "Q": [c.render() for c in delta.series.coeffs],
-        "op": cfg.op,
+        "op": args.op,
         "coeff_polys": [_render_poly(p) for p in coeff_polys],
         "reconstruction_exact": exact,
     }
-    if cfg.fmt == "json":
-        cfg.emit(json.dumps(payload))
+    if args.format == "json":
+        emit(json.dumps(payload))
     else:
         for n, p in enumerate(coeff_polys):
-            cfg.emit(f"g_{n}: {_render_poly(p)}")
-        cfg.emit(f"reconstruction_exact: {exact}")
+            emit(f"g_{n}: {_render_poly(p)}")
+        emit(f"reconstruction_exact: {exact}")
     return 0 if exact else 1
 
 
@@ -225,27 +194,27 @@ def _bivar_table(p: Poly) -> list[list[str]]:
     return out
 
 
-def cmd_nogo(cfg: RunConfig) -> int:
-    psi = _load_psi(cfg.psi, max(cfg.n + 2, 16))
-    result = plane_mod.binomial_nogo(psi, cfg.n)
+def cmd_nogo(args: argparse.Namespace) -> int:
+    psi = _load_psi(args.psi, max(args.n + 2, 16))
+    result = plane_mod.binomial_nogo(psi, args.n)
     payload = {
         "psi": psi.name,
-        "n": cfg.n,
+        "n": args.n,
         "lhs": _bivar_table(result.lhs),
         "rhs": _bivar_table(result.rhs),
         "residual": _bivar_table(result.residual),
         "verdict": result.verdict,
         "b0_convention": plane_mod.B0_CONVENTION,
     }
-    if cfg.fmt == "json":
-        cfg.emit(json.dumps(payload))
+    if args.format == "json":
+        emit(json.dumps(payload))
     else:
         for label in ("lhs", "rhs", "residual"):
-            cfg.emit(f"{label} (rows = x-degree, columns = y-degree):")
+            emit(f"{label} (rows = x-degree, columns = y-degree):")
             for row in payload[label]:
-                cfg.emit("  " + "  ".join(row))
-        cfg.emit(f"verdict: {result.verdict}")
-        cfg.emit(f"note: {plane_mod.B0_CONVENTION}")
+                emit("  " + "  ".join(row))
+        emit(f"verdict: {result.verdict}")
+        emit(f"note: {plane_mod.B0_CONVENTION}")
     return 0
 
 
@@ -253,13 +222,13 @@ def _matrix_json(a: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in a]
 
 
-def cmd_spin(cfg: RunConfig) -> int:
-    rep = su2_build(Fraction(cfg.j).limit_denominator(2), q=cfg.q)
-    comm = su2_commutator_check(rep, cfg.tolerance)
+def cmd_spin(args: argparse.Namespace) -> int:
+    rep = su2_build(args.j, q=args.q)
+    comm = su2_commutator_check(rep, args.tolerance)
     reports = [
         {
             "check": "commutators",
-            "params": {"j": comm.j, "q": _q_json(cfg.q)},
+            "params": {"j": comm.j, "q": _q_json(args.q)},
             "residuals": comm.residuals,
             "convention": {},
             "pass": comm.ok,
@@ -267,11 +236,11 @@ def cmd_spin(cfg: RunConfig) -> int:
     ]
     all_ok = comm.ok
     try:
-        pol = polar_decompose(rep, cfg.tolerance)
+        pol = polar_decompose(rep, args.tolerance)
         reports.append(
             {
                 "check": "polar",
-                "params": {"j": pol.j, "q": _q_json(cfg.q)},
+                "params": {"j": pol.j, "q": _q_json(args.q)},
                 "residuals": pol.residuals,
                 "convention": {"unitary": pol.convention},
                 "pass": pol.ok,
@@ -282,7 +251,7 @@ def cmd_spin(cfg: RunConfig) -> int:
         reports.append(
             {
                 "check": "polar",
-                "params": {"j": comm.j, "q": _q_json(cfg.q)},
+                "params": {"j": comm.j, "q": _q_json(args.q)},
                 "skipped": str(exc),
                 "pass": True,
             }
@@ -293,11 +262,11 @@ def cmd_spin(cfg: RunConfig) -> int:
         "jminus": _matrix_json(rep.jminus),
         "reports": reports,
     }
-    if cfg.fmt == "json":
-        cfg.emit(json.dumps(payload))
+    if args.format == "json":
+        emit(json.dumps(payload))
     else:
         for rep_row in reports:
-            cfg.emit(json.dumps(rep_row))
+            emit(json.dumps(rep_row))
     return 0 if all_ok else 1
 
 
@@ -308,9 +277,9 @@ def _q_json(q) -> list | None:
     return [qc.real, qc.imag]
 
 
-def cmd_weyl(cfg: RunConfig) -> int:
-    pair = weyl_build(cfg.size)
-    report = weyl_check(pair, tol_conj=max(cfg.tolerance, 1e-8))
+def cmd_weyl(args: argparse.Namespace) -> int:
+    pair = weyl_build(args.N)
+    report = weyl_check(pair, tol_conj=max(args.tolerance, 1e-8))
     payload = {
         "n": pair.n,
         "sigma1": _matrix_json(pair.sigma1),
@@ -329,24 +298,24 @@ def cmd_weyl(cfg: RunConfig) -> int:
             "pass": report.ok,
         },
     }
-    if cfg.fmt == "json":
-        cfg.emit(json.dumps(payload))
+    if args.format == "json":
+        emit(json.dumps(payload))
     else:
-        cfg.emit(json.dumps(payload["report"]))
+        emit(json.dumps(payload["report"]))
     return 0 if report.ok else 1
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    results = run_suites(list(cfg.suites))
+def cmd_verify(args: argparse.Namespace) -> int:
+    results = run_suites(args.suite)
     fails = 0
     skips = 0
     for r in results:
-        cfg.emit(r.line())
+        emit(r.line())
         if r.skipped:
             skips += 1
         elif not r.passed:
             fails += 1
-    cfg.emit(
+    emit(
         f"summary: {len(results)} checks, {len(results) - fails - skips} passed, "
         f"{fails} failed, {skips} skipped"
     )
@@ -369,13 +338,32 @@ COMMANDS = {
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            values = [float(p) for p in parts]
+            if all(math.isfinite(v) for v in values):
+                return complex(*values)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected re or re,im, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected finite re or re,im, got {text!r}")
+
+
+def _size(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected an exact rational such as 3/2 or 0.5, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,50 +373,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **flags):
+    def add(name, help_text, formats=("json", "csv", "text"), fmt="text", psi=False,
+            N=None, n=None, Q=False):
         p = sub.add_parser(name, help=help_text)
-        if flags.get("psi"):
+        if psi:
             p.add_argument("--psi", default="qgauss",
                            help="built-in psi name or a .json table file")
-        if flags.get("size"):
-            p.add_argument("--N", dest="size", type=int, default=flags["size"])
-        if flags.get("n"):
-            p.add_argument("--n", type=int, default=flags["n"])
-        if flags.get("j"):
-            p.add_argument("--j", type=float, default=1.0)
-        if flags.get("q"):
-            p.add_argument("--q", type=_parse_complex, default=None,
-                           help="deformation parameter re[,im]; omit for undeformed")
-        if flags.get("delta"):
-            p.add_argument("--Q", dest="delta", default="derivative",
-                           choices=["derivative", "laguerre", "quadratic", "shifted"])
-        if flags.get("scaling"):
-            p.add_argument("--S", dest="scaling", default="one",
-                           choices=["one", "one_minus", "exp_sq", "one_minus_sq",
-                                    "laguerre_order"])
-            p.add_argument("--alpha", type=Fraction, default=Fraction(0))
-        if flags.get("op"):
-            p.add_argument("--op", default="qscale",
-                           choices=["identity", "number", "qscale"])
-        p.add_argument("--format", dest="fmt", default=flags.get("fmt", "text"),
-                       choices=["json", "csv", "text"])
-        p.add_argument("--tolerance", type=float, default=1e-10)
+        if N is not None:
+            p.add_argument("--N", type=_size, default=N)
+        if n is not None:
+            p.add_argument("--n", type=_size, default=n)
+        if Q:
+            p.add_argument("--Q", default="derivative", choices=DELTA_FAMILIES)
+        if formats:
+            p.add_argument("--format", default=fmt, choices=formats)
         return p
 
-    add("table", "psi-number and factorial table", psi=True, size=8, fmt="csv")
-    add("basic", "basic polynomial sequence of a delta operator",
-        psi=True, size=6, delta=True)
-    add("sheffer", "Sheffer sequence for a delta operator and scaling factor",
-        psi=True, size=6, delta=True, scaling=True)
+    add("table", "psi-number and factorial table", psi=True, N=8, fmt="csv")
+    add("basic", "basic polynomial sequence of a delta operator", psi=True, N=6, Q=True)
+    p = add("sheffer", "Sheffer sequence for a delta operator and scaling factor",
+            psi=True, N=6, Q=True)
+    p.add_argument("--S", default="one", choices=SHEFFER_FACTORS)
+    p.add_argument("--alpha", type=_rational, default=Fraction(0))
     add("laguerre", "closed-form q-Laguerre basic polynomials", n=3)
-    add("expand", "expand an operator in powers of a delta operator",
-        psi=True, size=6, delta=True, op=True)
-    add("nogo", "two-sided deformed binomial expansion with verdict",
-        psi=True, n=3)
-    add("spin", "deformed angular-momentum matrices and checks", j=True, q=True)
-    add("weyl", "clock/shift pair, Sylvester transform and checks", size=6)
-    v = add("verify", "run identity suites and exit 0 only if all pass")
-    v.add_argument("--suite", action="append", default=None,
+    p = add("expand", "expand an operator in powers of a delta operator",
+            psi=True, N=6, Q=True)
+    p.add_argument("--op", default="qscale", choices=OPERATORS)
+    add("nogo", "two-sided deformed binomial expansion with verdict", psi=True, n=3)
+    p = add("spin", "deformed angular-momentum matrices and checks",
+            formats=("json", "text"))
+    p.add_argument("--j", type=_rational, default=Fraction(1))
+    p.add_argument("--q", type=_parse_complex, default=None,
+                   help="deformation parameter re[,im]; omit for undeformed")
+    p.add_argument("--tolerance", type=float, default=1e-10)
+    p = add("weyl", "clock/shift pair, Sylvester transform and checks",
+            formats=("json", "text"), N=6)
+    p.add_argument("--tolerance", type=float, default=1e-10)
+    p = add("verify", "run identity suites and exit 0 only if all pass", formats=())
+    p.add_argument("--suite", action="append", default=None,
                    help="suite name or 'all' (repeatable); available: "
                         + ", ".join(SUITES))
     return parser
@@ -440,18 +422,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    cfg = RunConfig(command=args.command)
-    for name in ("psi", "size", "n", "j", "q", "alpha", "delta", "scaling",
-                 "op", "fmt", "tolerance"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if args.command == "verify":
-        cfg.suites = tuple(args.suite) if args.suite else ("all",)
     try:
-        return COMMANDS[args.command](cfg)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return COMMANDS[args.command](args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

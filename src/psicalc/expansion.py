@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .operators import DeltaOperator, OperatorMatrix
 from .poly import Poly
 from .psi import monomial
-from .ratfun import ONE, ZERO, RationalFunction
+from .ratfun import ZERO, RationalFunction
 from .sequences import BasicSequence, basic_sequence
 
 
@@ -137,17 +137,12 @@ class MutatorReport:
         return all(r.is_zero() for r in self.residuals)
 
 
-def mutator_eigenvalue(psi, n: int) -> RationalFunction:
-    """Diagonal value ((n+1)_psi - 1)/n_psi of the deformed-bracket operator."""
-    return (psi.number(n + 1) - ONE) / psi.number(n)
-
-
 def _mutator_scale(psi, polys: tuple[Poly, ...], p: Poly) -> Poly:
     coords = to_basic_coords(polys, p)
     out = Poly()
     for n, c in enumerate(coords):
         if c:
-            out = out + polys[n].scale(c * mutator_eigenvalue(psi, n))
+            out = out + polys[n].scale(c * psi.mutator_eigenvalue(n))
     return out
 
 

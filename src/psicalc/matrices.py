@@ -53,7 +53,3 @@ def diag_sqrt(a: np.ndarray, tol: float = 0.0) -> np.ndarray:
 
 def power_int(a: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.matrix_power(cmatrix(a), k)
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a

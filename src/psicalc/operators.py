@@ -38,9 +38,6 @@ class OperatorSeries:
     def is_invertible(self) -> bool:
         return bool(self.coeffs[0])
 
-    def is_delta(self) -> bool:
-        return not self.coeffs[0] and self.order >= 1 and bool(self.coeffs[1])
-
     def _same(self, other: "OperatorSeries") -> None:
         if self.psi is not other.psi and self.psi != other.psi:
             raise ValueError("operator series over different psi sequences")
@@ -251,6 +248,17 @@ def delta_by_name(name: str, psi: PsiSequence, order: int) -> DeltaOperator:
     except KeyError:
         known = ", ".join(sorted(DELTA_FAMILIES))
         raise ValueError(f"unknown delta operator {name!r}; built-ins: {known}") from None
+
+
+# Invertible factors S of Sheffer sequences, called as (psi, order, alpha);
+# only laguerre_order reads alpha, the order of (1 - D)^(alpha+1).
+SHEFFER_FACTORS: dict[str, Callable[..., OperatorSeries]] = {
+    "one": lambda psi, order, alpha=0: one_series(psi, order),
+    "one_minus": lambda psi, order, alpha=0: laguerre_scaling(psi, Fraction(0), order),
+    "exp_sq": lambda psi, order, alpha=0: exp_sq_series(psi, order),
+    "one_minus_sq": lambda psi, order, alpha=0: laguerre_scaling(psi, Fraction(1), order),
+    "laguerre_order": lambda psi, order, alpha=0: laguerre_scaling(psi, alpha, order),
+}
 
 
 # -- operator tables on the monomial basis ----------------------------------

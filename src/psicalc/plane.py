@@ -26,7 +26,7 @@ def b_sequence(psi: PsiSequence, count: int) -> list[RationalFunction]:
         raise ValueError(f"beyond truncation: need index {count + 1} > N_max={psi.n_max}")
     out = [ONE]
     for k in range(1, count + 1):
-        out.append(out[-1] * (psi.number(k + 1) - ONE) / psi.number(k))
+        out.append(out[-1] * psi.mutator_eigenvalue(k))
     return out
 
 
@@ -47,7 +47,7 @@ def apply_b(b: list[RationalFunction], p: Poly) -> Poly:
 
 
 def _mutator_scale_x(psi: PsiSequence, p: Poly) -> Poly:
-    # scales the x^m component by ((m+1)_psi - 1)/m_psi; inputs here always
+    # scales the x^m component by the mutator eigenvalue; inputs here always
     # have a zero constant-in-x part, so m >= 1
     cols = [Poly()]
     for m in range(1, len(p.coeffs)):
@@ -55,8 +55,7 @@ def _mutator_scale_x(psi: PsiSequence, p: Poly) -> Poly:
         if inner.is_zero():
             cols.append(Poly())
         else:
-            factor = (psi.number(m + 1) - ONE) / psi.number(m)
-            cols.append(inner.scale(factor))
+            cols.append(inner.scale(psi.mutator_eigenvalue(m)))
     return Poly(cols)
 
 

@@ -53,11 +53,6 @@ class Poly:
             return self.coeffs[i]
         return zero
 
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented

@@ -96,6 +96,15 @@ class PsiSequence:
             self._cache[key] = got
         return got
 
+    def mutator_eigenvalue(self, n: int) -> RationalFunction:
+        """Deformed-bracket eigenvalue ((n+1)_psi - 1)/n_psi; requires n >= 1."""
+        key = ("mut", n)
+        got = self._cache.get(key)
+        if got is None:
+            got = (self.number(n + 1) - ONE) / self.number(n)
+            self._cache[key] = got
+        return got
+
 
 def classic(n_max: int = DEFAULT_N_MAX) -> PsiSequence:
     """psi_n = 1/n!, so n_psi = n and all operators are the undeformed ones."""
@@ -231,16 +240,6 @@ def translate(psi: PsiSequence, p: Poly) -> Poly:
     for i in range(len(p.coeffs)):
         cols.append(Poly([row.coeff(i, ZERO) for row in rows]))
     return Poly(cols)
-
-
-def as_bivariate(p: Poly) -> Poly:
-    """Lift an x-polynomial to the two-variable space (y-degree zero)."""
-    return Poly([Poly([c]) for c in p.coeffs])
-
-
-def as_y_polynomial(p: Poly) -> Poly:
-    """Reinterpret an x-polynomial as the same polynomial in y."""
-    return Poly([Poly(p.coeffs)])
 
 
 def bivariate_eval_y0(p: Poly) -> Poly:

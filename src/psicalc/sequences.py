@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .operators import DeltaOperator, OperatorSeries, laguerre_scaling, one_series
+from .operators import DeltaOperator, OperatorSeries, one_series
 from .poly import Poly
 from .psi import PsiSequence, monomial, one_poly, translate, xhat_psi
 from .ratfun import ZERO, RationalFunction
@@ -194,11 +194,6 @@ def q_laguerre_closed(psi: PsiSequence, n: int) -> Poly:
         term = psi.falling(n - 1, n - k) * Fraction((-1) ** k * comb(n, k) * k)
         coeffs[k] = prefactor * (term / psi.number(k))
     return Poly(coeffs)
-
-
-def laguerre_order_scaling(psi: PsiSequence, alpha, order: int) -> OperatorSeries:
-    """The invertible factor (1 - D)^(alpha+1) of the order-alpha family."""
-    return laguerre_scaling(psi, Fraction(alpha), order)
 
 
 # -- binomial-type identities ------------------------------------------------

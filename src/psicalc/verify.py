@@ -19,19 +19,27 @@ import numpy as np
 from . import plane as plane_mod
 from .expansion import expand_operator, qmutator_check, reconstruct_operator
 from .operators import (
+    DELTA_FAMILIES,
+    SHEFFER_FACTORS,
     OperatorMatrix,
     OperatorSeries,
     delta_by_name,
-    exp_sq_series,
     laguerre_delta,
-    laguerre_scaling,
-    one_series,
     pincherle_commutator_matrix,
     scaling_matrix,
     series_matrix,
 )
 from .poly import Poly
-from .psi import PsiSequence, by_name, classic, monomial, psi_derivative, qgauss, translate
+from .psi import (
+    BUILTIN_PSIS,
+    PsiSequence,
+    by_name,
+    classic,
+    monomial,
+    psi_derivative,
+    qgauss,
+    translate,
+)
 from .ratfun import QSYM, RationalFunction, rf
 from .sequences import (
     basic_sequence,
@@ -43,8 +51,8 @@ from .sequences import (
 from .su2q import polar_decompose, su2_build, su2_commutator_check
 from .weyl import shift_spectrum_residual, weyl_build, weyl_check
 
-PSI_GRID = ("classic", "qgauss", "fibonacci", "square")
-DELTA_GRID = ("derivative", "laguerre", "quadratic", "shifted")
+PSI_GRID = tuple(BUILTIN_PSIS)
+DELTA_GRID = tuple(DELTA_FAMILIES)
 SHEFFER_GRID = ("one_minus", "exp_sq", "one_minus_sq")
 
 SU2_Q_SET: tuple = (0.5, 1.5, 2.0, np.exp(1j * np.pi / 7), np.exp(1j * np.pi / 12))
@@ -73,18 +81,6 @@ class CheckResult:
 
 def _grid_psis(n_max: int = 16) -> list[PsiSequence]:
     return [by_name(name, n_max) for name in PSI_GRID]
-
-
-def _sheffer_factor(name: str, psi: PsiSequence, order: int) -> OperatorSeries:
-    if name == "one":
-        return one_series(psi, order)
-    if name == "one_minus":
-        return laguerre_scaling(psi, Fraction(0), order)
-    if name == "one_minus_sq":
-        return laguerre_scaling(psi, Fraction(1), order)
-    if name == "exp_sq":
-        return exp_sq_series(psi, order)
-    raise ValueError(f"unknown scaling factor {name!r}")
 
 
 # -- exact suites ------------------------------------------------------------
@@ -163,7 +159,7 @@ def suite_sheffer(n_top: int = 8) -> list[CheckResult]:
         for dname in DELTA_GRID:
             Q = delta_by_name(dname, psi, n_top + 1)
             for sname in SHEFFER_GRID:
-                S = _sheffer_factor(sname, psi, n_top + 1)
+                S = SHEFFER_FACTORS[sname](psi, n_top + 1)
                 sh = sheffer_sequence(Q, S, n_top)
                 res = sheffer_binomial_residuals(sh, n_top)
                 ok = all(r.is_zero() for r in res)
@@ -269,7 +265,7 @@ def suite_nogo(n_top: int = 10, witness_up_to: int = 4) -> list[CheckResult]:
     ok = True
     for n in range(n_top + 1):
         r = plane_mod.binomial_nogo(psi_q, n)
-        if not r.residual.is_zero() or r.lhs != _translate_monomial(psi_q, n):
+        if not r.residual.is_zero() or r.lhs != translate(psi_q, monomial(n)):
             ok = False
             break
     out.append(
@@ -295,10 +291,6 @@ def suite_nogo(n_top: int = 10, witness_up_to: int = 4) -> list[CheckResult]:
                         "exact" if rep.ok else "nonzero residual")
         )
     return out
-
-
-def _translate_monomial(psi: PsiSequence, n: int) -> Poly:
-    return translate(psi, monomial(n))
 
 
 def render_bivariate(p: Poly) -> str:

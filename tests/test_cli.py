@@ -116,6 +116,23 @@ def test_verify_subset_exits_zero(capsys):
     assert all(l.startswith(("PASS", "SKIP")) for l in lines[:-1])
 
 
+@pytest.mark.parametrize("argv", [
+    ("table", "--N", "-1"),
+    ("nogo", "--n", "-1"),
+    ("sheffer", "--S", "laguerre_order", "--alpha", "1/0"),
+    ("spin", "--j", "0.3"),
+    ("spin", "--q", "nan"),
+    ("spin", "--q", "inf"),
+    ("table", "--tolerance", "1e-3"),
+    ("verify", "--format", "json"),
+    ("spin", "--format", "csv"),
+], ids=" ".join)
+def test_bad_input_exits_2_with_empty_stdout(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_usage_error_exit_code():
     assert main(["bogus-command"]) == 2
     assert main([]) == 2

@@ -6,7 +6,6 @@ from psicalc.expansion import (
     dual_xhat,
     expand_operator,
     from_basic_coords,
-    mutator_eigenvalue,
     qmutator_check,
     reconstruct_operator,
     to_basic_coords,
@@ -99,8 +98,8 @@ def test_truncation_exceeded():
 
 
 def test_mutator_eigenvalue_values():
-    assert mutator_eigenvalue(CL, 4) == ONE
-    assert mutator_eigenvalue(QG, 5) == QSYM
+    assert CL.mutator_eigenvalue(4) == ONE
+    assert QG.mutator_eigenvalue(5) == QSYM
 
 
 def test_qmutator_identity_across_grid():

@@ -1,0 +1,93 @@
+"""Byte-for-byte guard on the exact commands' stdout and exit codes.
+
+The corpus in golden/corpus.json maps each argv (joined by spaces) to the
+exit code and the exact stdout recorded for it.  Any change to canonical
+strings, JSON layout, CSV quoting or the text tables shows up here.
+
+Regenerate (only when an output change is intended) with:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from psicalc.cli import main
+
+CORPUS = pathlib.Path(__file__).with_name("golden") / "corpus.json"
+
+PSIS = ("qgauss", "fibonacci")
+FORMATS = ("json", "csv", "text")
+DELTAS = ("derivative", "laguerre", "quadratic", "shifted")
+FACTORS = ("one", "one_minus", "exp_sq", "one_minus_sq", "laguerre_order")
+OPS = ("identity", "number", "qscale")
+SIZE = "4"
+
+
+def _cases() -> list[list[str]]:
+    out = []
+    for fmt in FORMATS:
+        tail = ["--format", fmt]
+        out.append(["laguerre", "--n", SIZE] + tail)
+        for psi in PSIS:
+            base = ["--psi", psi]
+            out.append(["table"] + base + ["--N", SIZE] + tail)
+            out.append(["nogo"] + base + ["--n", SIZE] + tail)
+            for Q in DELTAS:
+                out.append(["basic"] + base + ["--Q", Q, "--N", SIZE] + tail)
+            # Sheffer factors and operators each pair with a different delta
+            for i, S in enumerate(FACTORS):
+                alpha = ["--alpha", "3/2"] if S == "laguerre_order" else []
+                out.append(["sheffer"] + base + ["--Q", DELTAS[i % len(DELTAS)], "--S", S]
+                           + alpha + ["--N", SIZE] + tail)
+            for i, op in enumerate(OPS):
+                out.append(["expand"] + base + ["--Q", DELTAS[i], "--op", op, "--N", SIZE]
+                           + tail)
+    return out
+
+
+CASES = _cases()
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def corpus() -> dict:
+    return json.loads(CORPUS.read_text(encoding="utf-8"))
+
+
+def test_corpus_covers_every_case(corpus):
+    assert sorted(corpus) == sorted(" ".join(a) for a in CASES)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_exact_output_matches_corpus(corpus, argv):
+    code, out = _run(argv)
+    want = corpus[" ".join(argv)]
+    assert code == want["exit"]
+    assert out == want["stdout"]
+
+
+def record() -> None:
+    entries = {}
+    for argv in CASES:
+        code, out = _run(argv)
+        entries[" ".join(argv)] = {"exit": code, "stdout": out}
+    CORPUS.parent.mkdir(exist_ok=True)
+    CORPUS.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
+
+
+if __name__ == "__main__":
+    record()

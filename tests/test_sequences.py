@@ -18,7 +18,6 @@ from psicalc.sequences import (
     basic_sequence,
     binomial_residuals,
     q_laguerre_closed,
-    laguerre_order_scaling,
     sheffer_binomial_residuals,
     sheffer_sequence,
 )
@@ -132,7 +131,7 @@ def test_laguerre_closed_works_for_other_tables():
 
 
 def test_laguerre_order_scaling_values():
-    got = laguerre_order_scaling(QG, Fraction(1, 2), 3)
+    got = laguerre_scaling(QG, Fraction(1, 2), 3)
     assert got.coeffs[0] == ONE
     assert got.coeffs[1] == rf(Fraction(-3, 2))
     assert got.coeffs[2] == rf(Fraction(3, 8))
