@@ -1,9 +1,10 @@
 """Dense univariate polynomials over duck-typed field scalars.
 
-One class serves every layer of the exact tower: polynomials in q with
-Fraction coefficients (inside rational functions), polynomials in x with
-RationalFunction coefficients, and bivariate polynomials in x whose
-coefficients are themselves polynomials in y.
+One class serves the layers above the coefficient field: polynomials in x
+with RationalFunction coefficients and bivariate polynomials in x whose
+coefficients are themselves polynomials in y.  Polynomials in q with int or
+Fraction coefficients are what RationalFunction takes and exposes; its own
+arithmetic runs on plain integer tuples.
 """
 
 from __future__ import annotations

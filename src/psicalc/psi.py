@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .poly import Poly
-from .ratfun import ONE, QSYM, ZERO, RationalFunction, fpoly, rf
+from .ratfun import ONE, QSYM, ZERO, RationalFunction, rf
 
 DEFAULT_N_MAX = 16
 
@@ -115,10 +115,8 @@ def classic(n_max: int = DEFAULT_N_MAX) -> PsiSequence:
 def qgauss(n_max: int = DEFAULT_N_MAX) -> PsiSequence:
     """psi_n = 1/(1_q 2_q ... n_q) with k_q = 1 + q + ... + q^{k-1}."""
     vals = [ONE]
-    den = fpoly([1])
     for k in range(1, n_max + 1):
-        den = den * fpoly([1] * k)
-        vals.append(RationalFunction(fpoly([1]), den, _raw=True))
+        vals.append(vals[-1] / RationalFunction(Poly([1] * k)))
     return PsiSequence("qgauss", tuple(vals))
 
 

@@ -1,23 +1,29 @@
 """Exact rational-function field over the deformation symbol q.
 
-Values are ratios of Fraction-coefficient polynomials kept canonical:
-the denominator is monic, numerator and denominator are coprime, and a
-zero numerator forces denominator 1.  Equality is therefore syntactic.
+A value is ``content * num/den``.  ``content`` is one Fraction; ``num`` and
+``den`` are primitive integer polynomials in q (ascending coefficient
+tuples whose gcd is 1), each with a positive leading coefficient, and they
+are coprime.  Zero is content 0 with ``num = ()`` and ``den = (1,)``.  By
+Gauss's lemma every product and every exact quotient of primitive
+polynomials is primitive again, so the arithmetic runs on Python ints and
+all rational scaling goes through the content.  The form is canonical, so
+equality is syntactic.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _igcd, lcm as _ilcm
 
 from .poly import Poly
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_I1 = (1,)
 
-_PZERO = Poly()
-_PONE = Poly((_F1,))
+# largest exponent parse_ratfun accepts in q^N; built-in tables stay far below
+MAX_PARSED_DEGREE = 10_000
 
 
 def fpoly(coeffs) -> Poly:
@@ -25,57 +31,54 @@ def fpoly(coeffs) -> Poly:
     return Poly([Fraction(c) for c in coeffs])
 
 
-def _divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if b.is_zero():
-        raise ZeroDivisionError("zero divisor")
-    db = b.degree
-    if a.degree < db:
-        return _PZERO, a
-    rem = list(a.coeffs)
-    lead = b.coeffs[-1]
-    monic = lead == 1
-    qt = [_F0] * (a.degree - db + 1)
-    for i in range(len(qt) - 1, -1, -1):
-        c = rem[i + db]
-        if c:
-            f = c if monic else c / lead
-            qt[i] = f
-            for k in range(db):
-                bk = b.coeffs[k]
-                if bk:
-                    rem[i + k] -= f * bk
-            rem[i + db] = _F0
-    return Poly(qt), Poly(rem[:db])
+# -- integer polynomials: nonzero ascending coefficient tuples ---------------
 
 
-def _monic(p: Poly) -> Poly:
-    lc = p.coeffs[-1]
-    if lc == 1:
-        return p
-    return Poly([c / lc for c in p.coeffs])
+def _mul(a: tuple, b: tuple) -> tuple:
+    if len(a) == 1:
+        return b if a[0] == 1 else tuple(a[0] * c for c in b)
+    if len(b) == 1:
+        return a if b[0] == 1 else tuple(b[0] * c for c in a)
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for j, bj in enumerate(b):
+        if bj:
+            for i, ai in enumerate(a, j):
+                out[i] += ai * bj
+    return tuple(out)
 
 
-def _int_clear(p: Poly) -> list[int]:
-    """Integer coefficient list proportional to p (denominators cleared)."""
-    den = 1
-    for c in p.coeffs:
-        d = c.denominator
-        den = den * d // _int_gcd(den, d)
-    return [int(c * den) for c in p.coeffs]
-
-
-def _int_primitive(cs: list[int]) -> list[int]:
-    g = 0
-    for v in cs:
-        g = _int_gcd(g, v)
-    if g > 1:
-        cs = [v // g for v in cs]
+def _primitive(cs) -> tuple[int, tuple]:
+    """(g, cs/g) with g the coefficient gcd, signed so the lead is positive."""
+    g = _igcd(*cs)
     if cs[-1] < 0:
-        cs = [-v for v in cs]
-    return cs
+        g = -g
+    if g == 1:
+        return 1, tuple(cs)
+    return g, tuple(c // g for c in cs)
 
 
-def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+def _split(cs) -> tuple[Fraction, tuple]:
+    """Content and primitive part of nonzero int/Fraction coefficients."""
+    den = _ilcm(*(c.denominator for c in cs))
+    g, prim = _primitive([c.numerator * (den // c.denominator) for c in cs])
+    return Fraction(g, den), prim
+
+
+def _combine(u: int, a: tuple, v: int, b: tuple) -> list:
+    """u*a + v*b with trailing zeros trimmed."""
+    if len(a) < len(b):
+        a, b, u, v = b, a, v, u
+    out = [u * c for c in a]
+    for i, c in enumerate(b):
+        out[i] += v * c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _pseudo_rem(a: tuple, b: tuple) -> list:
     # remainder of (a scaled by powers of b's leading coefficient) mod b;
     # scalar factors are irrelevant for gcd purposes
     db = len(b) - 1
@@ -87,7 +90,7 @@ def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
             continue
         # r <- lb*r - top * x^i * b, cancelling the x^(i+db) coefficient
         if lb != 1:
-            for k in range(len(r)):
+            for k in range(i + db):
                 r[k] *= lb
         for k in range(db):
             r[i + k] -= top * b[k]
@@ -97,77 +100,89 @@ def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _gcd_poly(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rational field, via an integer remainder sequence."""
-    if a.is_zero():
-        return _monic(b) if b else b
-    if b.is_zero():
-        return _monic(a)
-    if a.degree == 0 or b.degree == 0:
-        return _PONE
-    ai = _int_primitive(_int_clear(a))
-    bi = _int_primitive(_int_clear(b))
-    if len(ai) < len(bi):
-        ai, bi = bi, ai
-    while bi:
-        r = _int_pseudo_rem(ai, bi)
-        ai, bi = bi, _int_primitive(r) if r else []
-    if len(ai) == 1:
-        return _PONE
-    lead = Fraction(ai[-1])
-    return Poly([Fraction(v) / lead for v in ai])
+def _gcd_poly(a: tuple, b: tuple) -> tuple:
+    """Primitive gcd of two primitive polynomials, by the primitive PRS."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _pseudo_rem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)[1]
+    return _I1
 
 
-def _exact_div(a: Poly, b: Poly) -> Poly:
-    q, r = _divmod_poly(a, b)
-    if r:
+def _divexact(a: tuple, b: tuple) -> tuple:
+    """a/b for a divisor b of a; the quotient has integer coefficients."""
+    db = len(b) - 1
+    lb = b[-1]
+    rem = list(a)
+    out = [0] * (len(a) - db)
+    for i in range(len(out) - 1, -1, -1):
+        c = rem[i + db]
+        if c:
+            f, r = divmod(c, lb)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+            out[i] = f
+            for k in range(db):
+                rem[i + k] -= f * b[k]
+    if any(rem[:db]):
         raise ArithmeticError("inexact polynomial division")
-    return q
+    return tuple(out)
+
+
+def _cancel(num: tuple, den: tuple) -> tuple[tuple, tuple]:
+    g = _gcd_poly(num, den)
+    if len(g) == 1:
+        return num, den
+    return _divexact(num, g), _divexact(den, g)
 
 
 class RationalFunction:
-    """Canonical num/den pair of Fraction-coefficient polynomials in q."""
+    """Canonical content * num/den over primitive integer polynomials in q."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("content", "_num", "_den")
 
-    def __init__(self, num, den=_PONE, *, _raw: bool = False):
-        if _raw:
-            self.num = num
-            self.den = den
-            return
-        num = _as_fpoly(num)
-        den = _as_fpoly(den)
-        if den.is_zero():
+    def __init__(self, num, den=1):
+        num, den = _coeffs(num), _coeffs(den)
+        if not den:
             raise ZeroDivisionError("zero divisor")
-        if num.is_zero():
-            self.num, self.den = _PZERO, _PONE
+        if not num:
+            self.content, self._num, self._den = _F0, (), _I1
             return
-        g = _gcd_poly(num, den)
-        if g.degree > 0:
-            num = _exact_div(num, g)
-            den = _exact_div(den, g)
-        lc = den.coeffs[-1]
-        if lc != 1:
-            num = Poly([c / lc for c in num.coeffs])
-            den = _monic(den)
-        self.num, self.den = num, den
+        nc, n = _split(num)
+        dc, d = _split(den)
+        if len(n) > 1 and len(d) > 1:
+            n, d = _cancel(n, d)
+        self.content, self._num, self._den = nc / dc, n, d
+
+    @property
+    def num(self) -> Poly:
+        """The primitive numerator as an integer-coefficient Poly."""
+        return Poly(self._num)
+
+    @property
+    def den(self) -> Poly:
+        """The primitive denominator as an integer-coefficient Poly."""
+        return Poly(self._den)
 
     # -- basic protocol ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num.coeffs
+        return not self.content
 
     def __bool__(self) -> bool:
-        return bool(self.num.coeffs)
+        return bool(self.content)
 
     def __eq__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self.num.coeffs == o.num.coeffs and self.den.coeffs == o.den.coeffs
+        return self.content == o.content and self._num == o._num and self._den == o._den
 
     def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.content, self._num, self._den))
 
     def __repr__(self):
         return f"RationalFunction({self.render()!r})"
@@ -181,42 +196,41 @@ class RationalFunction:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == o.den:
-            if self.den == _PONE:
-                return RationalFunction(self.num + o.num, _PONE, _raw=True)
-            num = self.num + o.num
-            if num.is_zero():
-                return ZERO
-            g = _gcd_poly(num, self.den)
-            if g.degree < 1:
-                return RationalFunction(num, self.den, _raw=True)
-            return RationalFunction(_exact_div(num, g), _exact_div(self.den, g), _raw=True)
-        if self.den == _PONE:
-            return RationalFunction(self.num * o.den + o.num, o.den, _raw=True)
-        if o.den == _PONE:
-            return RationalFunction(o.num * self.den + self.num, self.den, _raw=True)
-        # denominator-gcd form: only the common factor can cancel afterwards
-        g = _gcd_poly(self.den, o.den)
-        if g.degree < 1:
-            num = self.num * o.den + o.num * self.den
-            if num.is_zero():
-                return ZERO
-            return RationalFunction(num, self.den * o.den, _raw=True)
-        t1 = _exact_div(self.den, g)
-        t2 = _exact_div(o.den, g)
-        num = self.num * t2 + o.num * t1
-        if num.is_zero():
+        c1, c2 = self.content, o.content
+        if not c2:
+            return self
+        if not c1:
+            return o
+        n1, d1, n2, d2 = self._num, self._den, o._num, o._den
+        if n1 == n2 and d1 == d2:
+            c = c1 + c2
+            return _new(c, n1, d1) if c else ZERO
+        # c1 = g*u1 and c2 = g*u2 with integers u1, u2
+        top = _igcd(c1.numerator, c2.numerator)
+        bottom = _ilcm(c1.denominator, c2.denominator)
+        u1 = c1.numerator // top * (bottom // c1.denominator)
+        u2 = c2.numerator // top * (bottom // c2.denominator)
+        # denominator-gcd form: only a factor of g = gcd(d1, d2) can cancel afterwards
+        if d1 == d2:
+            g, t1, t2 = d1, _I1, _I1
+        else:
+            g = _gcd_poly(d1, d2) if len(d1) > 1 and len(d2) > 1 else _I1
+            t1, t2 = (_divexact(d1, g), _divexact(d2, g)) if len(g) > 1 else (d1, d2)
+        num = _combine(u1, _mul(n1, t2), u2, _mul(n2, t1))
+        if not num:
             return ZERO
-        den = self.den * t2
-        g2 = _gcd_poly(num, g)
-        if g2.degree < 1:
-            return RationalFunction(num, den, _raw=True)
-        return RationalFunction(_exact_div(num, g2), _exact_div(den, g2), _raw=True)
+        k, num = _primitive(num)
+        den = _mul(d1, t2)
+        if len(g) > 1 and len(num) > 1:
+            g2 = _gcd_poly(num, g)
+            if len(g2) > 1:
+                num, den = _divexact(num, g2), _divexact(den, g2)
+        return _new(Fraction(top * k, bottom), num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, _raw=True)
+        return _new(-self.content, self._num, self._den)
 
     def __sub__(self, other):
         o = _coerce(other)
@@ -234,25 +248,22 @@ class RationalFunction:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        if not self.num.coeffs or not o.num.coeffs:
+        c = self.content * o.content
+        if not c:
             return ZERO
-        if self.den == _PONE and o.den == _PONE:
-            return RationalFunction(self.num * o.num, _PONE, _raw=True)
-        n1, d2 = _cross_cancel(self.num, o.den)
-        n2, d1 = _cross_cancel(o.num, self.den)
-        return RationalFunction(n1 * n2, d1 * d2, _raw=True)
+        n1, d1, n2, d2 = self._num, self._den, o._num, o._den
+        if len(n1) > 1 and len(d2) > 1:
+            n1, d2 = _cancel(n1, d2)
+        if len(n2) > 1 and len(d1) > 1:
+            n2, d1 = _cancel(n2, d1)
+        return _new(c, _mul(n1, n2), _mul(d1, d2))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RationalFunction":
-        if not self.num.coeffs:
+        if not self.content:
             raise ZeroDivisionError("zero divisor")
-        num, den = self.den, self.num
-        lc = den.coeffs[-1]
-        if lc != 1:
-            num = Poly([c / lc for c in num.coeffs])
-            den = _monic(den)
-        return RationalFunction(num, den, _raw=True)
+        return _new(1 / self.content, self._den, self._num)
 
     def __truediv__(self, other):
         o = _coerce(other)
@@ -271,15 +282,13 @@ class RationalFunction:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        acc = ONE
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
+        if not self.content:
+            return ZERO if n else ONE
+        # coprime num and den stay coprime under powers
+        num = den = _I1
+        for _ in range(n):
+            num, den = _mul(num, self._num), _mul(den, self._den)
+        return _new(self.content ** n, num, den)
 
     # -- evaluation and rendering -------------------------------------------
 
@@ -289,23 +298,29 @@ class RationalFunction:
         d = self.den.eval_at(point)
         if d == 0:
             raise ZeroDivisionError("zero divisor")
-        return self.num.eval_at(point) / d
+        return self.content * self.num.eval_at(point) / d
 
     def render(self) -> str:
-        if not self.num.coeffs:
-            return "0"
-        ni, di = _clear_to_int(self.num, self.den)
-        ns = _int_poly_str(ni)
-        if di == [1]:
+        """Integer numerator over integer denominator, e.g. "(1-q)/(2+2q)"."""
+        a, b = self.content.numerator, self.content.denominator
+        ns = _int_poly_str([a * c for c in self._num])
+        if b == 1 and self._den == _I1:
             return ns
-        return f"({ns})/({_int_poly_str(di)})"
+        return f"({ns})/({_int_poly_str([b * c for c in self._den])})"
 
 
-def _as_fpoly(v) -> Poly:
+def _new(content: Fraction, num: tuple, den: tuple) -> RationalFunction:
+    """A value from parts already in canonical form."""
+    r = object.__new__(RationalFunction)
+    r.content, r._num, r._den = content, num, den
+    return r
+
+
+def _coeffs(v) -> tuple:
     if isinstance(v, Poly):
-        return v
+        return v.coeffs
     if isinstance(v, (int, Fraction)):
-        return Poly((Fraction(v),)) if v else _PZERO
+        return (v,) if v else ()
     raise TypeError(f"cannot build a polynomial from {type(v).__name__}")
 
 
@@ -313,24 +328,13 @@ def _coerce(v):
     if isinstance(v, RationalFunction):
         return v
     if isinstance(v, (int, Fraction)):
-        if not v:
-            return ZERO
-        return RationalFunction(Poly((Fraction(v),)), _PONE, _raw=True)
+        return _new(Fraction(v), _I1, _I1) if v else ZERO
     return None
 
 
-def _cross_cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    if den == _PONE or num.degree < 1:
-        return num, den
-    g = _gcd_poly(num, den)
-    if g.degree < 1:
-        return num, den
-    return _exact_div(num, g), _exact_div(den, g)
-
-
-ZERO = RationalFunction(_PZERO, _PONE, _raw=True)
-ONE = RationalFunction(_PONE, _PONE, _raw=True)
-QSYM = RationalFunction(Poly((_F0, _F1)), _PONE, _raw=True)
+ZERO = _new(_F0, (), _I1)
+ONE = _new(_F1, _I1, _I1)
+QSYM = _new(_F1, (0, 1), _I1)
 
 
 def rf(value) -> RationalFunction:
@@ -339,30 +343,11 @@ def rf(value) -> RationalFunction:
     if got is not None:
         return got
     if isinstance(value, Poly):
-        return RationalFunction(value, _PONE)
+        return RationalFunction(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to RationalFunction")
 
 
 # -- canonical text form --------------------------------------------------
-
-
-def _clear_to_int(num: Poly, den: Poly) -> tuple[list[int], list[int]]:
-    lcm = 1
-    for c in num.coeffs + den.coeffs:
-        d = c.denominator
-        lcm = lcm * d // _int_gcd(lcm, d)
-    ni = [int(c * lcm) for c in num.coeffs]
-    di = [int(c * lcm) for c in den.coeffs]
-    g = 0
-    for v in ni + di:
-        g = _int_gcd(g, abs(v))
-    if g > 1:
-        ni = [v // g for v in ni]
-        di = [v // g for v in di]
-    if di[-1] < 0:
-        ni = [-v for v in ni]
-        di = [-v for v in di]
-    return ni, di
 
 
 def _int_poly_str(cs: list[int]) -> str:
@@ -399,46 +384,44 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _parse_int_poly(tokens: list[str]) -> Poly:
-    coeffs: dict[int, Fraction] = {}
+    """Parse [sign] term {(+|-) term}, a term being N, N*q^K, Nq^K or q^K."""
+    coeffs: dict[int, int] = {}
     i = 0
-    sign = 1
     n = len(tokens)
-    while i < n:
-        t = tokens[i]
-        if t == "+":
-            sign = 1
+    while True:
+        sign = 1
+        if i < n and tokens[i] in ("+", "-"):
+            sign = -1 if tokens[i] == "-" else 1
             i += 1
-            continue
-        if t == "-":
-            sign = -sign
-            i += 1
-            continue
+        t = tokens[i] if i < n else "end of input"
+        if not t.isdigit() and t != "q":
+            raise ValueError(f"expected a term, got {t!r}")
         mag = 1
         power = 0
-        seen = False
         if t.isdigit():
             mag = int(t)
-            seen = True
             i += 1
             if i < n and tokens[i] == "*":
                 i += 1
+                if i == n or tokens[i] != "q":
+                    raise ValueError("expected 'q' after '*'")
         if i < n and tokens[i] == "q":
             power = 1
-            seen = True
             i += 1
             if i < n and tokens[i] == "^":
                 if i + 1 >= n or not tokens[i + 1].isdigit():
                     raise ValueError("missing exponent after '^'")
                 power = int(tokens[i + 1])
+                if power > MAX_PARSED_DEGREE:
+                    raise ValueError(f"exponent {power} exceeds {MAX_PARSED_DEGREE}")
                 i += 2
-        if not seen:
-            raise ValueError(f"unexpected token {t!r} in polynomial")
-        coeffs[power] = coeffs.get(power, _F0) + sign * mag
-        sign = 1
-    if not coeffs:
-        raise ValueError("empty polynomial")
+        coeffs[power] = coeffs.get(power, 0) + sign * mag
+        if i == n:
+            break
+        if tokens[i] not in ("+", "-"):
+            raise ValueError(f"unexpected token {tokens[i]!r} after a term")
     top = max(coeffs)
-    return Poly([coeffs.get(k, _F0) for k in range(top + 1)])
+    return Poly([coeffs.get(k, 0) for k in range(top + 1)])
 
 
 def parse_ratfun(text: str) -> RationalFunction:

@@ -71,15 +71,19 @@ def su2_build(j, q: complex | None = None) -> SpinRep:
     j3 = np.diag(np.array([float(m) for m in ms], dtype=complex))
     jplus = np.zeros((dim, dim), dtype=complex)
     jminus = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim - 1):
-        m_col = ms[i + 1]  # raising consumes |j, m_col>
-        jplus[i, i + 1] = np.sqrt(
-            bracket(float(jf - m_col)) * bracket(float(jf + m_col + 1))
-        )
-        m_top = ms[i]  # lowering consumes |j, m_top>
-        jminus[i + 1, i] = np.sqrt(
-            bracket(float(jf + m_top)) * bracket(float(jf - m_top + 1))
-        )
+    try:
+        for i in range(dim - 1):
+            m_col = ms[i + 1]  # raising consumes |j, m_col>
+            jplus[i, i + 1] = np.sqrt(
+                bracket(float(jf - m_col)) * bracket(float(jf + m_col + 1))
+            )
+            m_top = ms[i]  # lowering consumes |j, m_top>
+            jminus[i + 1, i] = np.sqrt(
+                bracket(float(jf + m_top)) * bracket(float(jf - m_top + 1))
+            )
+    except OverflowError:
+        # the largest bracket argument here, 2j, is also the largest the checks use
+        raise ValueError(f"q = {q} overflows the deformed bracket at j = {jf}") from None
     return SpinRep(j2, q, j3, jplus, jminus)
 
 

@@ -126,6 +126,7 @@ def test_verify_subset_exits_zero(capsys):
     ("table", "--tolerance", "1e-3"),
     ("verify", "--format", "json"),
     ("spin", "--format", "csv"),
+    ("spin", "--j", "1", "--q", "1e200", "--format", "json"),
 ], ids=" ".join)
 def test_bad_input_exits_2_with_empty_stdout(capsys, argv):
     code, out = run_cli(capsys, *argv)

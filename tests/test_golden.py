@@ -28,6 +28,9 @@ DELTAS = ("derivative", "laguerre", "quadratic", "shifted")
 FACTORS = ("one", "one_minus", "exp_sq", "one_minus_sq", "laguerre_order")
 OPS = ("identity", "number", "qscale")
 SIZE = "4"
+# qgauss commands at sizes whose coefficients reach the largest q-degrees
+WIDE_SIZE = "12"
+WIDE_EXPAND_SIZE = "8"
 
 
 def _cases() -> list[list[str]]:
@@ -49,6 +52,18 @@ def _cases() -> list[list[str]]:
             for i, op in enumerate(OPS):
                 out.append(["expand"] + base + ["--Q", DELTAS[i], "--op", op, "--N", SIZE]
                            + tail)
+    wide = ["--psi", "qgauss"]
+    tail = ["--format", "json"]
+    out.append(["table"] + wide + ["--N", WIDE_SIZE] + tail)
+    out.append(["nogo"] + wide + ["--n", WIDE_SIZE] + tail)
+    out.append(["laguerre", "--n", WIDE_SIZE] + tail)
+    for Q in DELTAS:
+        out.append(["basic"] + wide + ["--Q", Q, "--N", WIDE_SIZE] + tail)
+        out.append(["sheffer"] + wide + ["--Q", Q, "--S", "one_minus", "--N", WIDE_SIZE]
+                   + tail)
+    for op in OPS:
+        out.append(["expand"] + wide + ["--Q", "laguerre", "--op", op,
+                                        "--N", WIDE_EXPAND_SIZE] + tail)
     return out
 
 

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from psicalc.ratfun import (
+    MAX_PARSED_DEGREE,
     ONE,
     QSYM,
     ZERO,
@@ -73,6 +75,14 @@ def test_parse_rejects_garbage():
             parse_ratfun(bad)
 
 
+def test_parse_rejects_juxtaposition_and_huge_exponents():
+    for bad in ("q q", "2 3", "2q3", "2*3", "q^2q", "-+q", "1+", "2*",
+                f"q^{MAX_PARSED_DEGREE + 1}", f"(1)/(q^{10 ** 30})"):
+        with pytest.raises(ValueError):
+            parse_ratfun(bad)
+    assert parse_ratfun(f"q^{MAX_PARSED_DEGREE}").num.degree == MAX_PARSED_DEGREE
+
+
 def test_pow_negative():
     assert (ONE + QSYM) ** -2 == ONE / ((ONE + QSYM) * (ONE + QSYM))
 
@@ -107,3 +117,96 @@ def test_render_parse_roundtrip_random(a):
 def test_int_and_fraction_coercion():
     assert QSYM * 2 + 1 == rf(1) + QSYM + QSYM
     assert QSYM * Fraction(1, 2) * 2 == QSYM
+
+
+# -- oracle over large values: evaluation at rational points, not canonical form
+
+big = st.integers(min_value=-2 ** 64, max_value=2 ** 64)
+points = st.fractions(min_value=-3, max_value=3, max_denominator=40)
+_P = 2 ** 61 - 1  # prime
+
+
+@st.composite
+def big_values(draw):
+    """A value with degree up to about 40, built with a common factor to cancel.
+
+    Returns (value, num, den) where num/den are the raw Fraction polynomials
+    of the value before the common factor was multiplied in.
+    """
+    def coeffs():
+        size = draw(st.integers(min_value=1, max_value=41))
+        return draw(st.lists(big, min_size=size, max_size=size))
+
+    scale = draw(st.fractions(max_denominator=2 ** 20).filter(bool))
+    num = fpoly([scale * c for c in coeffs()])
+    den = fpoly(coeffs())
+    common = fpoly(draw(st.lists(ints, min_size=1, max_size=4)))
+    assume(den and common)
+    return RationalFunction(num * common, den * common), num, den
+
+
+def _raw_eval(num, den, x):
+    d = den.eval_at(x)
+    assume(d != 0)
+    return num.eval_at(x) / d
+
+
+def _degree_mod_p(a, b):
+    """Degree of gcd(a, b) over GF(p) for integer tuples with leads nonzero mod p."""
+    a = [c % _P for c in a]
+    b = [c % _P for c in b]
+    while b:
+        inv = pow(b[-1], -1, _P)
+        while len(a) >= len(b):
+            f = a[-1] * inv % _P
+            shift = len(a) - len(b)
+            for k, c in enumerate(b):
+                a[shift + k] = (a[shift + k] - f * c) % _P
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _check_invariants(v):
+    assert isinstance(v.content, Fraction)
+    num, den = v.num.coeffs, v.den.coeffs
+    assert all(type(c) is int for c in num + den)
+    if not v.content:
+        assert num == () and den == (1,)
+        return
+    assert den[-1] > 0 and num[-1] > 0
+    assert math.gcd(*num) == 1 and math.gcd(*den) == 1
+    if num[-1] % _P and den[-1] % _P:  # else the image mod p says nothing
+        assert _degree_mod_p(num, den) == 0
+
+
+@given(big_values(), big_values(), points)
+@settings(max_examples=25, deadline=None)
+def test_field_ops_commute_with_evaluation(a, b, x):
+    (va, na, da), (vb, nb, db) = a, b
+    ea, eb = _raw_eval(na, da, x), _raw_eval(nb, db, x)
+    assert va.eval_q(x) == ea and vb.eval_q(x) == eb
+    assert (va + vb).eval_q(x) == ea + eb
+    assert (va - vb).eval_q(x) == ea - eb
+    assert (va * vb).eval_q(x) == ea * eb
+    assume(eb != 0)
+    assert (va / vb).eval_q(x) == ea / eb
+
+
+@given(big_values(), big_values())
+@settings(max_examples=25, deadline=None)
+def test_large_values_are_canonical_and_round_trip(a, b):
+    va, vb = a[0], b[0]
+    for v in (va, vb, va + vb, va - vb, va * vb, va * vb.inverse() if vb else ZERO):
+        _check_invariants(v)
+    # parsing reruns the full gcd of num and den, so only the drawn values
+    assert parse_ratfun(va.render()) == va
+    assert parse_ratfun(vb.render()) == vb
+
+
+def test_sum_cancels_a_factor_of_the_common_denominator():
+    # denominators q(q+1) and q(q-1) share q, and the summed numerator 2q has it too
+    x = ONE / (QSYM * (QSYM + 1)) + ONE / (QSYM * (QSYM - 1))
+    assert x.render() == "(2)/(-1+q^2)"
+    _check_invariants(x)
