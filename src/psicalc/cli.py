@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -279,7 +280,7 @@ def _q_json(q) -> list | None:
 
 def cmd_weyl(args: argparse.Namespace) -> int:
     pair = weyl_build(args.N)
-    report = weyl_check(pair, tol_conj=max(args.tolerance, 1e-8))
+    report = weyl_check(pair)
     payload = {
         "n": pair.n,
         "sigma1": _matrix_json(pair.sigma1),
@@ -307,19 +308,14 @@ def cmd_weyl(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     results = run_suites(args.suite)
-    fails = 0
-    skips = 0
     for r in results:
         emit(r.line())
-        if r.skipped:
-            skips += 1
-        elif not r.passed:
-            fails += 1
+    count = Counter(r.verdict for r in results)
     emit(
-        f"summary: {len(results)} checks, {len(results) - fails - skips} passed, "
-        f"{fails} failed, {skips} skipped"
+        f"summary: {len(results)} checks, {count['PASS']} passed, "
+        f"{count['FAIL']} failed, {count['SKIP']} skipped"
     )
-    return 0 if fails == 0 else 1
+    return 0 if count["FAIL"] == 0 else 1
 
 
 COMMANDS = {
@@ -406,12 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_parse_complex, default=None,
                    help="deformation parameter re[,im]; omit for undeformed")
     p.add_argument("--tolerance", type=float, default=1e-10)
-    p = add("weyl", "clock/shift pair, Sylvester transform and checks",
-            formats=("json", "text"), N=6)
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    add("weyl", "clock/shift pair, Sylvester transform and checks",
+        formats=("json", "text"), N=6)
     p = add("verify", "run identity suites and exit 0 only if all pass", formats=())
     p.add_argument("--suite", action="append", default=None,
-                   help="suite name or 'all' (repeatable); available: "
+                   help="suite name or 'all' (repeatable; 'all' anywhere runs every "
+                        "suite); available: "
                         + ", ".join(SUITES))
     return parser
 

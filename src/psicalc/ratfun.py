@@ -427,7 +427,9 @@ def _parse_int_poly(tokens: list[str]) -> Poly:
 def parse_ratfun(text: str) -> RationalFunction:
     """Parse the canonical text form: a polynomial in q, optionally /(poly).
 
-    Accepts e.g. "1+q+q^2", "-q", "3", "1/2", "(1-q^3)/(1-q)".
+    Accepts e.g. "1+q+q^2", "-q", "3", "1/2", "(1-q^3)/(1-q)".  A side of
+    '/' with more than one term must be parenthesised: "1+q/2" is rejected,
+    not read as "(1+q)/(2)".
     """
     tokens = _tokenize(text)
     depth = 0
@@ -459,8 +461,12 @@ def parse_ratfun(text: str) -> RationalFunction:
             return ts[1:-1]
         return ts
 
+    def side(ts: list[str]) -> Poly:
+        inner = strip(ts)
+        if inner is ts and any(t in ("+", "-") for t in ts[1:]):
+            raise ValueError("a side of '/' with more than one term needs parentheses")
+        return _parse_int_poly(inner)
+
     if split is None:
         return RationalFunction(_parse_int_poly(strip(tokens)))
-    num = _parse_int_poly(strip(tokens[:split]))
-    den = _parse_int_poly(strip(tokens[split + 1:]))
-    return RationalFunction(num, den)
+    return RationalFunction(side(tokens[:split]), side(tokens[split + 1:]))

@@ -4,9 +4,11 @@ import sys
 
 import pytest
 
+from psicalc import verify
 from psicalc.cli import main
 from psicalc.psi import qgauss
 from psicalc.sequences import q_laguerre_closed
+from psicalc.verify import CheckResult
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +118,17 @@ def test_verify_subset_exits_zero(capsys):
     assert all(l.startswith(("PASS", "SKIP")) for l in lines[:-1])
 
 
+def test_verify_all_anywhere_runs_every_suite(capsys, monkeypatch):
+    stub = {name: (lambda name=name: [CheckResult(name, "stub", True)])
+            for name in verify.SUITES}
+    monkeypatch.setattr(verify, "SUITES", stub)
+    code, out = run_cli(capsys, "verify", "--suite", "su2", "--suite", "all")
+    assert code == 0
+    assert out.splitlines() == [f"PASS {name} stub" for name in stub] + [
+        f"summary: {len(stub)} checks, {len(stub)} passed, 0 failed, 0 skipped"]
+    assert run_cli(capsys, "verify", "--suite", "all", "--suite", "bogus") == (2, "")
+
+
 @pytest.mark.parametrize("argv", [
     ("table", "--N", "-1"),
     ("nogo", "--n", "-1"),
@@ -127,6 +140,7 @@ def test_verify_subset_exits_zero(capsys):
     ("verify", "--format", "json"),
     ("spin", "--format", "csv"),
     ("spin", "--j", "1", "--q", "1e200", "--format", "json"),
+    ("weyl", "--tolerance", "1e-3"),
 ], ids=" ".join)
 def test_bad_input_exits_2_with_empty_stdout(capsys, argv):
     code, out = run_cli(capsys, *argv)

@@ -3,8 +3,11 @@
 The corpus in golden/corpus.json maps each argv (joined by spaces) to the
 exit code and the exact stdout recorded for it.  Any change to canonical
 strings, JSON layout, CSV quoting or the text tables shows up here.
+golden/verify.txt holds the report of `verify --suite all`: exact-suite
+lines and the summary are compared in full, numeric-suite lines only up
+to the first ':' because their residual digits depend on the BLAS build.
 
-Regenerate (only when an output change is intended) with:
+Regenerate both (only when an output change is intended) with:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -21,6 +24,8 @@ import pytest
 from psicalc.cli import main
 
 CORPUS = pathlib.Path(__file__).with_name("golden") / "corpus.json"
+VERIFY_REPORT = CORPUS.with_name("verify.txt")
+NUMERIC_SUITES = ("su2", "polar", "weyl")
 
 PSIS = ("qgauss", "fibonacci")
 FORMATS = ("json", "csv", "text")
@@ -94,6 +99,19 @@ def test_exact_output_matches_corpus(corpus, argv):
     assert out == want["stdout"]
 
 
+def _verify_key(line: str) -> str:
+    if line.split(" ")[1] in NUMERIC_SUITES:
+        return line.split(":", 1)[0]
+    return line
+
+
+def test_verify_report_matches_golden():
+    code, out = _run(["verify", "--suite", "all"])
+    want = VERIFY_REPORT.read_text(encoding="utf-8").splitlines()
+    assert code == 0
+    assert [_verify_key(l) for l in out.splitlines()] == [_verify_key(l) for l in want]
+
+
 def record() -> None:
     entries = {}
     for argv in CASES:
@@ -102,6 +120,7 @@ def record() -> None:
     CORPUS.parent.mkdir(exist_ok=True)
     CORPUS.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
+    VERIFY_REPORT.write_text(_run(["verify", "--suite", "all"])[1], encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -77,7 +77,7 @@ def test_parse_rejects_garbage():
 
 def test_parse_rejects_juxtaposition_and_huge_exponents():
     for bad in ("q q", "2 3", "2q3", "2*3", "q^2q", "-+q", "1+", "2*",
-                f"q^{MAX_PARSED_DEGREE + 1}", f"(1)/(q^{10 ** 30})"):
+                f"q^{MAX_PARSED_DEGREE + 1}", f"(1)/(q^{10 ** 30})", "1+q/2", "1/2+q"):
         with pytest.raises(ValueError):
             parse_ratfun(bad)
     assert parse_ratfun(f"q^{MAX_PARSED_DEGREE}").num.degree == MAX_PARSED_DEGREE
