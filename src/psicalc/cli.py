@@ -36,7 +36,7 @@ from .ratfun import QSYM, parse_ratfun
 from .sequences import basic_sequence, q_laguerre_closed, sheffer_sequence
 from .su2q import polar_decompose, su2_build, su2_commutator_check
 from .verify import SUITES, run_suites
-from .weyl import weyl_build, weyl_check
+from .weyl import NumericCheck, weyl_build, weyl_check
 
 USAGE_ERROR = 2
 
@@ -73,6 +73,8 @@ def _load_psi(name: str, n_max: int) -> PsiSequence:
             rows = payload.get("psi")
         else:
             label, rows = name, payload
+        if not isinstance(label, str):
+            raise ValueError("malformed psi file: name must be a string")
         if not isinstance(rows, list) or not all(isinstance(r, str) for r in rows):
             raise ValueError("malformed psi file: expected a JSON list of value strings")
         try:
@@ -145,9 +147,11 @@ def cmd_basic(args: argparse.Namespace) -> int:
 
 
 def cmd_sheffer(args: argparse.Namespace) -> int:
+    if args.alpha is not None and args.S != "laguerre_order":
+        raise ValueError("--alpha applies only to --S laguerre_order")
     psi = _load_psi(args.psi, max(args.N + 2, 16))
     delta = delta_by_name(args.Q, psi, args.N + 1)
-    factor = SHEFFER_FACTORS[args.S](psi, args.N + 1, args.alpha)
+    factor = SHEFFER_FACTORS[args.S](psi, args.N + 1, args.alpha or Fraction(0))
     seq = sheffer_sequence(delta, factor, args.N)
     payload = _sequence_payload(psi, delta, seq.polys)
     payload["S"] = [c.render() for c in factor.coeffs]
@@ -225,85 +229,40 @@ def _matrix_json(a: np.ndarray) -> list:
 
 def cmd_spin(args: argparse.Namespace) -> int:
     rep = su2_build(args.j, q=args.q)
-    comm = su2_commutator_check(rep, args.tolerance)
-    reports = [
-        {
-            "check": "commutators",
-            "params": {"j": comm.j, "q": _q_json(args.q)},
-            "residuals": comm.residuals,
-            "convention": {},
-            "pass": comm.ok,
-        }
-    ]
-    all_ok = comm.ok
+    checks = [su2_commutator_check(rep, args.tolerance)]
     try:
-        pol = polar_decompose(rep, args.tolerance)
-        reports.append(
-            {
-                "check": "polar",
-                "params": {"j": pol.j, "q": _q_json(args.q)},
-                "residuals": pol.residuals,
-                "convention": {"unitary": pol.convention},
-                "pass": pol.ok,
-            }
-        )
-        all_ok = all_ok and pol.ok
+        checks.append(polar_decompose(rep, args.tolerance))
     except ValueError as exc:
-        reports.append(
-            {
-                "check": "polar",
-                "params": {"j": comm.j, "q": _q_json(args.q)},
-                "skipped": str(exc),
-                "pass": True,
-            }
-        )
-    payload = {
-        "j3": _matrix_json(rep.j3),
-        "jplus": _matrix_json(rep.jplus),
-        "jminus": _matrix_json(rep.jminus),
-        "reports": reports,
-    }
+        checks.append(NumericCheck("polar", checks[0].params, skipped=str(exc)))
+    reports = [c.as_json() for c in checks]
     if args.format == "json":
-        emit(json.dumps(payload))
+        emit(json.dumps({
+            "j3": _matrix_json(rep.j3),
+            "jplus": _matrix_json(rep.jplus),
+            "jminus": _matrix_json(rep.jminus),
+            "reports": reports,
+        }))
     else:
-        for rep_row in reports:
-            emit(json.dumps(rep_row))
-    return 0 if all_ok else 1
-
-
-def _q_json(q) -> list | None:
-    if q is None:
-        return None
-    qc = complex(q)
-    return [qc.real, qc.imag]
+        for report in reports:
+            emit(json.dumps(report))
+    return 0 if all(c.ok for c in checks) else 1
 
 
 def cmd_weyl(args: argparse.Namespace) -> int:
     pair = weyl_build(args.N)
-    report = weyl_check(pair)
-    payload = {
-        "n": pair.n,
-        "sigma1": _matrix_json(pair.sigma1),
-        "sigma2": _matrix_json(pair.sigma2),
-        "smat": _matrix_json(pair.smat),
-        "pmat": _matrix_json(pair.pmat),
-        "report": {
-            "check": "weyl",
-            "params": {"n": pair.n},
-            "residuals": report.residuals,
-            "convention": {
-                "sign": report.sign,
-                "omega_p": report.convention,
-                "p_diagonal": report.printed_diagonal_note,
-            },
-            "pass": report.ok,
-        },
-    }
+    check = weyl_check(pair)
     if args.format == "json":
-        emit(json.dumps(payload))
+        emit(json.dumps({
+            "n": pair.n,
+            "sigma1": _matrix_json(pair.sigma1),
+            "sigma2": _matrix_json(pair.sigma2),
+            "smat": _matrix_json(pair.smat),
+            "pmat": _matrix_json(pair.pmat),
+            "report": check.as_json(),
+        }))
     else:
-        emit(json.dumps(payload["report"]))
-    return 0 if report.ok else 1
+        emit(json.dumps(check.as_json()))
+    return 0 if check.ok else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -353,6 +312,16 @@ def _size(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite tolerance > 0, got {text!r}")
+    return value
+
+
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -390,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sheffer", "Sheffer sequence for a delta operator and scaling factor",
             psi=True, N=6, Q=True)
     p.add_argument("--S", default="one", choices=SHEFFER_FACTORS)
-    p.add_argument("--alpha", type=_rational, default=Fraction(0))
+    p.add_argument("--alpha", type=_rational, default=None,
+                   help="order alpha of --S laguerre_order (default 0)")
     add("laguerre", "closed-form q-Laguerre basic polynomials", n=3)
     p = add("expand", "expand an operator in powers of a delta operator",
             psi=True, N=6, Q=True)
@@ -401,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=_rational, default=Fraction(1))
     p.add_argument("--q", type=_parse_complex, default=None,
                    help="deformation parameter re[,im]; omit for undeformed")
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-10)
     add("weyl", "clock/shift pair, Sylvester transform and checks",
         formats=("json", "text"), N=6)
     p = add("verify", "run identity suites and exit 0 only if all pass", formats=())

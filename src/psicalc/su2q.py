@@ -13,8 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrices import adjoint, diag_sqrt, inf_norm
-from .weyl import cyclic_shift
+from .weyl import NumericCheck, cyclic_shift, inf_norm
 
 
 def q_bracket(x: float, q: complex) -> complex:
@@ -87,16 +86,12 @@ def su2_build(j, q: complex | None = None) -> SpinRep:
     return SpinRep(j2, q, j3, jplus, jminus)
 
 
-@dataclass(frozen=True)
-class CommutatorReport:
-    j: float
-    q: complex | None
-    residuals: dict
-    tolerance: float
-    ok: bool
+def _params(rep: SpinRep) -> dict:
+    q = None if rep.q is None else [complex(rep.q).real, complex(rep.q).imag]
+    return {"j": float(rep.j), "q": q}
 
 
-def su2_commutator_check(rep: SpinRep, tolerance: float = 1e-10) -> CommutatorReport:
+def su2_commutator_check(rep: SpinRep, tolerance: float = 1e-10) -> NumericCheck:
     """Residuals of [J3, J+/-] = +/-J+/- and [J+, J-] = bracket(2 J3)."""
     c12 = rep.j3 @ rep.jplus - rep.jplus @ rep.j3
     c13 = rep.j3 @ rep.jminus - rep.jminus @ rep.j3
@@ -113,33 +108,24 @@ def su2_commutator_check(rep: SpinRep, tolerance: float = 1e-10) -> CommutatorRe
         "jplus_jminus": inf_norm(c23 - target),
     }
     ok = all(v <= tolerance for v in residuals.values())
-    return CommutatorReport(float(rep.j), rep.q, residuals, tolerance, ok)
+    return NumericCheck("commutators", _params(rep), residuals, ok=ok)
 
 
-@dataclass(frozen=True, eq=False)
-class PolarReport:
-    j: float
-    q: complex | None
-    convention: str
-    modulus: np.ndarray
-    comodulus: np.ndarray
-    residuals: dict
-    tolerance: float
-    ok: bool
+def _psd_sqrt(prod: np.ndarray, tol: float) -> np.ndarray:
+    """Square root of a diagonal, positive semidefinite ladder product.
 
-
-def _psd_diag(prod: np.ndarray, tol: float) -> np.ndarray:
-    off = prod - np.diag(np.diag(prod))
-    if inf_norm(off) > tol:
-        raise ValueError("not diagonal")
+    Off-diagonal entries, negative real parts or imaginary parts beyond tol
+    reject it; negative rounding noise within tol is clipped to zero.
+    """
     d = np.diag(prod)
+    if inf_norm(prod - np.diag(d)) > tol:
+        raise ValueError("not diagonal")
     if np.any(d.real < -tol) or np.any(np.abs(d.imag) > tol):
         raise ValueError("modulus not PSD for this q")
-    cleaned = np.clip(d.real, 0.0, None)
-    return np.diag(cleaned.astype(complex))
+    return np.diag(np.sqrt(np.clip(d.real, 0.0, None).astype(complex)))
 
 
-def polar_decompose(rep: SpinRep, tolerance: float = 1e-10) -> PolarReport:
+def polar_decompose(rep: SpinRep, tolerance: float = 1e-10) -> NumericCheck:
     """Split the ladder pair into positive moduli times a cyclic shift.
 
     The four identities are the polar forms of J- and its adjoint partner:
@@ -158,13 +144,13 @@ def polar_decompose(rep: SpinRep, tolerance: float = 1e-10) -> PolarReport:
             if abs(v.imag) > 1e-9 * max(1.0, abs(v)) or v.real <= 1e-9:
                 raise ValueError("modulus not PSD for this q")
     guard = max(tolerance, 1e-12) * max(1.0, inf_norm(rep.jplus)) ** 2
-    modulus = diag_sqrt(_psd_diag(rep.jplus @ rep.jminus, guard))
-    comodulus = diag_sqrt(_psd_diag(rep.jminus @ rep.jplus, guard))
+    modulus = _psd_sqrt(rep.jplus @ rep.jminus, guard)
+    comodulus = _psd_sqrt(rep.jminus @ rep.jplus, guard)
 
     shift = cyclic_shift(rep.dim)
     best = None
-    for name, u in (("sigma1", shift), ("adjoint(sigma1)", adjoint(shift))):
-        ud = adjoint(u)
+    for name, u in (("sigma1", shift), ("adjoint(sigma1)", shift.conj().T)):
+        ud = u.conj().T
         residuals = {
             "jminus_vs_u_modulus": inf_norm(rep.jminus - u @ modulus),
             "jminus_vs_comodulus_u": inf_norm(rep.jminus - comodulus @ u),
@@ -175,7 +161,5 @@ def polar_decompose(rep: SpinRep, tolerance: float = 1e-10) -> PolarReport:
         if best is None or worst < best[2]:
             best = (name, residuals, worst)
     name, residuals, worst = best
-    return PolarReport(
-        float(rep.j), rep.q, name, modulus, comodulus, residuals, tolerance,
-        worst <= tolerance,
-    )
+    return NumericCheck("polar", _params(rep), residuals, {"unitary": name},
+                        worst <= tolerance)

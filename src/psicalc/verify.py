@@ -302,7 +302,7 @@ def suite_polar(tolerance: float = 1e-10, j_max: float = 6.0) -> list[CheckResul
         worst = max(pol.residuals.values())
         out.append(CheckResult("polar", name, pol.ok,
                                f"max residual {worst:.3e} (tol {tolerance:g}), "
-                               f"unitary convention {pol.convention}"))
+                               f"unitary convention {pol.convention['unitary']}"))
     return out
 
 
@@ -315,9 +315,9 @@ def suite_weyl(n_max: int = 24) -> list[CheckResult]:
         spec_res = shift_spectrum_residual(pair)
         out.append(CheckResult(
             "weyl", f"n={n}", rep.ok and spec_res <= 1e-8,
-            f"sign={rep.sign:+d}, omega^P={rep.convention}, "
+            f"sign={rep.convention['sign']:+d}, omega^P={rep.convention['omega_p']}, "
             f"worst residual {max(rep.residuals.values()):.3e}, "
-            f"shift spectrum {spec_res:.3e}; {rep.printed_diagonal_note}",
+            f"shift spectrum {spec_res:.3e}; {rep.convention['p_diagonal']}",
         ))
     return out
 

@@ -4,15 +4,44 @@ For dimension n and omega = exp(2*pi*i/n): sigma1 is the cyclic shift,
 sigma2 the diagonal clock omega^Q with Q = diag(0..n-1), and the unitary
 Sylvester matrix (omega^{kl}/sqrt(n)) conjugates the clock into the shift.
 P = S^dagger Q S realizes sigma1 as omega^P.
+
+Also home to what the numeric layer shares: the entrywise sup norm every
+residual is measured in, and the check record `su2q` and this module return.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import adjoint, ident, inf_norm, power_int
+
+def inf_norm(a: np.ndarray) -> float:
+    """Largest entry magnitude."""
+    return float(np.max(np.abs(a)))
+
+
+@dataclass(frozen=True)
+class NumericCheck:
+    """One numeric identity check: named residual norms and the conventions found.
+
+    A check that could not run carries the reason in `skipped` and passes.
+    """
+
+    check: str
+    params: dict
+    residuals: dict = field(default_factory=dict)
+    convention: dict = field(default_factory=dict)
+    ok: bool = True
+    skipped: str | None = None
+
+    def as_json(self) -> dict:
+        """The report object `spin` and `weyl` print."""
+        if self.skipped is not None:
+            return {"check": self.check, "params": self.params, "skipped": self.skipped,
+                    "pass": self.ok}
+        return {"check": self.check, "params": self.params, "residuals": self.residuals,
+                "convention": self.convention, "pass": self.ok}
 
 
 def cyclic_shift(n: int) -> np.ndarray:
@@ -36,7 +65,6 @@ class WeylPair:
     omega: complex
     sigma1: np.ndarray
     sigma2: np.ndarray
-    qmat: np.ndarray
     pmat: np.ndarray
     smat: np.ndarray
     omega_p: np.ndarray  # S^dagger sigma2 S, the conjugated clock
@@ -58,9 +86,9 @@ def weyl_build(n: int) -> WeylPair:
     sigma2 = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
     sigma1 = cyclic_shift(n)
     smat = sylvester_matrix(n)
-    pmat = adjoint(smat) @ qmat @ smat
-    omega_p = adjoint(smat) @ sigma2 @ smat
-    return WeylPair(n, omega, sigma1, sigma2, qmat, pmat, smat, omega_p)
+    pmat = smat.conj().T @ qmat @ smat
+    omega_p = smat.conj().T @ sigma2 @ smat
+    return WeylPair(n, omega, sigma1, sigma2, pmat, smat, omega_p)
 
 
 def p_closed_form(n: int) -> np.ndarray:
@@ -84,33 +112,26 @@ PRINTED_DIAGONAL_NOTE = (
     "commonly printed zero diagonal deviates from S^dagger Q S"
 )
 
+# the gate on each weyl_check residual, in report order
+WEYL_GATES = {
+    "sigma1_pow_n": 1e-10,
+    "sigma2_pow_n": 1e-10,
+    "s_unitary": 1e-12,
+    "weyl_relation": 1e-10,
+    "omega_p_vs_shift": 1e-8,
+    "p_offdiagonal": 1e-10,
+    "p_diagonal": 1e-10,
+}
 
-@dataclass(frozen=True)
-class WeylReport:
-    n: int
-    sign: int
-    convention: str  # which of sigma1 / adjoint(sigma1) equals omega^P
-    residuals: dict
-    tolerances: dict
-    printed_diagonal_note: str
-    ok: bool
 
-
-def weyl_check(
-    pair: WeylPair,
-    tol_pow: float = 1e-10,
-    tol_weyl: float = 1e-10,
-    tol_unitary: float = 1e-12,
-    tol_conj: float = 1e-8,
-    tol_p: float = 1e-10,
-) -> WeylReport:
-    """Run every generator identity and report residual magnitudes."""
+def weyl_check(pair: WeylPair) -> NumericCheck:
+    """Run every generator identity and gate its residual by WEYL_GATES."""
     n = pair.n
-    eye = ident(n)
+    eye = np.eye(n, dtype=complex)
     res = {
-        "sigma1_pow_n": inf_norm(power_int(pair.sigma1, n) - eye),
-        "sigma2_pow_n": inf_norm(power_int(pair.sigma2, n) - eye),
-        "s_unitary": inf_norm(adjoint(pair.smat) @ pair.smat - eye),
+        "sigma1_pow_n": inf_norm(np.linalg.matrix_power(pair.sigma1, n) - eye),
+        "sigma2_pow_n": inf_norm(np.linalg.matrix_power(pair.sigma2, n) - eye),
+        "s_unitary": inf_norm(pair.smat.conj().T @ pair.smat - eye),
     }
     plus = inf_norm(pair.sigma1 @ pair.sigma2 - pair.omega * pair.sigma2 @ pair.sigma1)
     minus = inf_norm(
@@ -121,7 +142,7 @@ def weyl_check(
     res["weyl_relation"] = min(plus, minus)
 
     direct = inf_norm(pair.omega_p - pair.sigma1)
-    flipped = inf_norm(pair.omega_p - adjoint(pair.sigma1))
+    flipped = inf_norm(pair.omega_p - pair.sigma1.conj().T)
     if direct <= flipped:
         convention, res["omega_p_vs_shift"] = "sigma1", direct
     else:
@@ -133,18 +154,10 @@ def weyl_check(
     res["p_offdiagonal"] = inf_norm(off)
     res["p_diagonal"] = inf_norm(np.diag(pair.pmat) - (n - 1) / 2.0)
 
-    tolerances = {
-        "sigma1_pow_n": tol_pow,
-        "sigma2_pow_n": tol_pow,
-        "weyl_relation": tol_weyl,
-        "s_unitary": tol_unitary,
-        "omega_p_vs_shift": tol_conj,
-        "p_offdiagonal": tol_p,
-        "p_diagonal": tol_p,
-    }
-    ok = all(res[k] <= tolerances[k] for k in res)
-    return WeylReport(
-        n, sign, convention, res, tolerances, PRINTED_DIAGONAL_NOTE, ok
+    return NumericCheck(
+        "weyl", {"n": n}, res,
+        {"sign": sign, "omega_p": convention, "p_diagonal": PRINTED_DIAGONAL_NOTE},
+        all(res[k] <= WEYL_GATES[k] for k in res),
     )
 
 
@@ -154,5 +167,5 @@ def shift_spectrum_residual(pair: WeylPair) -> float:
     worst = 0.0
     for k in range(n):
         lam = np.exp(2j * np.pi * k / n)
-        worst = max(worst, abs(np.linalg.det(lam * ident(n) - pair.sigma1)))
+        worst = max(worst, abs(np.linalg.det(lam * np.eye(n, dtype=complex) - pair.sigma1)))
     return worst

@@ -72,6 +72,12 @@ def test_malformed_custom_psi_file(tmp_path, capsys):
     worse = tmp_path / "worse.json"
     worse.write_text("{not json")
     assert main(["table", "--psi", str(worse)]) == 2
+    named = tmp_path / "listname.json"
+    named.write_text(json.dumps({"name": ["x"], "psi": ["1", "1", "1/2"]}))
+    capsys.readouterr()
+    assert main(["table", "--psi", str(named), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed psi file" in captured.err
 
 
 def test_custom_psi_file_accepted(tmp_path, capsys):
@@ -141,6 +147,10 @@ def test_verify_all_anywhere_runs_every_suite(capsys, monkeypatch):
     ("spin", "--format", "csv"),
     ("spin", "--j", "1", "--q", "1e200", "--format", "json"),
     ("weyl", "--tolerance", "1e-3"),
+    ("spin", "--j", "1", "--q", "1.5", "--tolerance", "nan"),
+    ("spin", "--j", "1", "--q", "1.5", "--tolerance", "inf"),
+    ("spin", "--j", "1", "--q", "1.5", "--tolerance", "-1"),
+    ("sheffer", "--psi", "classic", "--S", "one", "--alpha", "3/2", "--N", "2"),
 ], ids=" ".join)
 def test_bad_input_exits_2_with_empty_stdout(capsys, argv):
     code, out = run_cli(capsys, *argv)

@@ -6,8 +6,11 @@ strings, JSON layout, CSV quoting or the text tables shows up here.
 golden/verify.txt holds the report of `verify --suite all`: exact-suite
 lines and the summary are compared in full, numeric-suite lines only up
 to the first ':' because their residual digits depend on the BLAS build.
+golden/numeric.json holds the exit code and the report objects of the
+`spin` and `weyl` text output for each argv, with every residual value
+dropped and its key kept, for the same reason.
 
-Regenerate both (only when an output change is intended) with:
+Regenerate all three (only when an output change is intended) with:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -25,6 +28,7 @@ from psicalc.cli import main
 
 CORPUS = pathlib.Path(__file__).with_name("golden") / "corpus.json"
 VERIFY_REPORT = CORPUS.with_name("verify.txt")
+NUMERIC = CORPUS.with_name("numeric.json")
 NUMERIC_SUITES = ("su2", "polar", "weyl")
 
 PSIS = ("qgauss", "fibonacci")
@@ -74,6 +78,18 @@ def _cases() -> list[list[str]]:
 
 CASES = _cases()
 
+# spin q values: undeformed, real (PSD moduli), and e^{i pi/7}, whose polar
+# check is skipped at j = 6; q = 1.0000001 fails from j = 3/2 (bracket
+# cancellation near q = 1)
+SPIN_QS = (None, "0.5", "1.5", "2.0", "0.9009688679024191,0.4338837391175581")
+NUMERIC_CASES = (
+    [["spin", "--j", j] + ([] if q is None else ["--q", q]) + ["--format", "text"]
+     for j in ("1/2", "1", "3/2", "6") for q in SPIN_QS]
+    + [["spin", "--j", "6", "--q", "0.90097,0.43388", "--format", "text"],
+       ["spin", "--j", "3/2", "--q", "1.0000001", "--format", "text"]]
+    + [["weyl", "--N", n, "--format", "text"] for n in ("2", "5", "24")]
+)
+
 
 def _run(argv: list[str]) -> tuple[int, str]:
     buf = io.StringIO()
@@ -112,6 +128,22 @@ def test_verify_report_matches_golden():
     assert [_verify_key(l) for l in out.splitlines()] == [_verify_key(l) for l in want]
 
 
+def _numeric_shape(argv: list[str]) -> dict:
+    code, out = _run(argv)
+    reports = [json.loads(line) for line in out.splitlines()]
+    for r in reports:
+        if "residuals" in r:
+            r["residuals"] = list(r["residuals"])
+    return {"exit": code, "reports": reports}
+
+
+def test_numeric_reports_match_golden():
+    want = json.loads(NUMERIC.read_text(encoding="utf-8"))
+    assert sorted(want) == sorted(" ".join(a) for a in NUMERIC_CASES)
+    for argv in NUMERIC_CASES:
+        assert _numeric_shape(argv) == want[" ".join(argv)], argv
+
+
 def record() -> None:
     entries = {}
     for argv in CASES:
@@ -121,6 +153,13 @@ def record() -> None:
     CORPUS.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
     VERIFY_REPORT.write_text(_run(["verify", "--suite", "all"])[1], encoding="utf-8")
+    record_numeric()
+
+
+def record_numeric() -> None:
+    shapes = {" ".join(argv): _numeric_shape(argv) for argv in NUMERIC_CASES}
+    NUMERIC.write_text(json.dumps(shapes, indent=1, sort_keys=True) + "\n",
+                       encoding="utf-8")
 
 
 if __name__ == "__main__":

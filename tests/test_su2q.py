@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from psicalc.matrices import adjoint, inf_norm
 from psicalc.su2q import (
+    _psd_sqrt,
     polar_decompose,
     q_bracket,
     su2_build,
     su2_commutator_check,
 )
+from psicalc.weyl import inf_norm
 
 Q_SET = (0.5, 1.5, 2.0, np.exp(1j * np.pi / 7), np.exp(1j * np.pi / 12))
 
@@ -54,7 +56,7 @@ def test_structure_of_ladders():
     rep = su2_build(2, q=0.5)
     assert inf_norm(np.tril(rep.jplus)) == 0
     assert inf_norm(np.triu(rep.jminus)) == 0
-    assert inf_norm(rep.jminus - adjoint(rep.jplus)) < 1e-12
+    assert inf_norm(rep.jminus - rep.jplus.conj().T) < 1e-12
 
 
 def test_commutators_spin_half_exact():
@@ -93,7 +95,8 @@ def test_diagonal_ladder_products():
 def test_polar_spin_half_hand_values():
     rep = su2_build(0.5, q=1.5)
     pol = polar_decompose(rep)
-    assert np.allclose(np.diag(pol.modulus), [1.0, 0.0])
+    modulus = _psd_sqrt(rep.jplus @ rep.jminus, 1e-12)
+    assert np.allclose(np.diag(modulus), [1.0, 0.0])
     assert pol.ok
 
 
@@ -102,9 +105,32 @@ def test_polar_identities_grid():
         for q in (None, 0.5, 1.5, 2.0):
             pol = polar_decompose(su2_build(j2 / 2, q=q))
             assert pol.ok, (j2, q, pol.residuals)
-            assert pol.convention in ("sigma1", "adjoint(sigma1)")
+            assert pol.convention["unitary"] in ("sigma1", "adjoint(sigma1)")
 
 
 def test_polar_rejects_indefinite_modulus():
     with pytest.raises(ValueError, match="not PSD"):
         polar_decompose(su2_build(6, q=np.exp(1j * np.pi / 7)))
+
+
+def test_psd_sqrt_simple():
+    got = _psd_sqrt(np.diag([4.0, 9.0]).astype(complex), 0.0)
+    assert inf_norm(got - np.diag([2.0, 3.0])) == 0
+
+
+def test_psd_sqrt_rejects_non_diagonal():
+    with pytest.raises(ValueError, match="not diagonal"):
+        _psd_sqrt(np.array([[1, 1], [0, 1]], dtype=complex), 0.0)
+
+
+def test_psd_sqrt_rejects_negative_real_part():
+    with pytest.raises(ValueError):
+        _psd_sqrt(np.diag([-1.0, 1.0]).astype(complex), 0.0)
+
+
+@given(st.lists(st.floats(min_value=1e-6, max_value=100.0), min_size=1, max_size=8))
+@settings(max_examples=80)
+def test_psd_sqrt_squares_back(entries):
+    d = np.diag(np.array(entries, dtype=complex))
+    r = _psd_sqrt(d, 0.0)
+    assert inf_norm(r @ r - d) <= 1e-13

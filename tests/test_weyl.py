@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from psicalc.matrices import adjoint, ident, inf_norm, power_int
 from psicalc.weyl import (
     cyclic_shift,
+    inf_norm,
     p_closed_form,
     shift_spectrum_residual,
     sylvester_matrix,
@@ -24,18 +24,18 @@ def test_dimension_two_is_pauli():
 
 def test_reports_anticommutation_sign_for_pauli():
     rep = weyl_check(weyl_build(2))
-    assert rep.sign == -1 and rep.ok
+    assert rep.convention["sign"] == -1 and rep.ok
 
 
 def test_shift_has_order_n():
     for n in (3, 5, 8):
-        assert inf_norm(power_int(cyclic_shift(n), n) - ident(n)) == 0
+        assert inf_norm(np.linalg.matrix_power(cyclic_shift(n), n) - np.eye(n)) == 0
 
 
 def test_sylvester_unitary():
     for n in (2, 3, 7, 24):
         s = sylvester_matrix(n)
-        assert inf_norm(adjoint(s) @ s - ident(n)) < 1e-12
+        assert inf_norm(s.conj().T @ s - np.eye(n)) < 1e-12
 
 
 def test_p_diagonal_is_half_n_minus_one():
@@ -54,7 +54,7 @@ def test_p_matches_closed_form():
 def test_conjugated_clock_is_adjoint_shift():
     for n in (3, 4, 12):
         pair = weyl_build(n)
-        assert inf_norm(pair.omega_p - adjoint(pair.sigma1)) < 1e-8
+        assert inf_norm(pair.omega_p - pair.sigma1.conj().T) < 1e-8
 
 
 def test_full_report_up_to_24():
@@ -62,17 +62,21 @@ def test_full_report_up_to_24():
         pair = weyl_build(n)
         rep = weyl_check(pair)
         assert rep.ok, (n, rep.residuals)
-        assert rep.convention == ("sigma1" if n == 2 else "adjoint(sigma1)")
+        assert rep.convention["omega_p"] == ("sigma1" if n == 2 else "adjoint(sigma1)")
         assert shift_spectrum_residual(pair) <= 1e-8
-        assert "zero diagonal" in rep.printed_diagonal_note
+        assert "zero diagonal" in rep.convention["p_diagonal"]
 
 
 def test_weyl_relation_sign():
     for n in (3, 4, 5):
         rep = weyl_check(weyl_build(n))
-        assert rep.sign == 1
+        assert rep.convention["sign"] == 1
 
 
 def test_small_dimension_rejected():
     with pytest.raises(ValueError):
         weyl_build(1)
+
+
+def test_inf_norm_of_zero():
+    assert inf_norm(np.eye(3, dtype=complex) - np.eye(3, dtype=complex)) == 0
