@@ -69,6 +69,10 @@ def _load_psi(name: str, n_max: int) -> PsiSequence:
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed psi file: {exc}") from None
         if isinstance(payload, dict):
+            unknown = sorted(set(payload) - {"name", "psi"})
+            if unknown:
+                raise ValueError(f"malformed psi file: unknown key {unknown[0]!r} "
+                                 "(expected 'name' and 'psi')")
             label = payload.get("name", name)
             rows = payload.get("psi")
         else:

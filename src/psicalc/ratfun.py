@@ -1,25 +1,25 @@
 """Exact rational-function field over the deformation symbol q.
 
-A value is ``content * num/den``.  ``content`` is one Fraction; ``num`` and
-``den`` are primitive integer polynomials in q (ascending coefficient
-tuples whose gcd is 1), each with a positive leading coefficient, and they
-are coprime.  Zero is content 0 with ``num = ()`` and ``den = (1,)``.  By
-Gauss's lemma every product and every exact quotient of primitive
-polynomials is primitive again, so the arithmetic runs on Python ints and
-all rational scaling goes through the content.  The form is canonical, so
-equality is syntactic.
+A value is ``a/b * num/den``.  The content ``a/b`` is a pair of ints with
+``b > 0`` and ``gcd(a, b) = 1``.  ``num`` and ``den`` are coprime primitive
+integer polynomials in q (ascending coefficient tuples whose gcd is 1), each
+with a positive leading coefficient.  Zero is ``0/1 * ()/(1,)``.  By Gauss's
+lemma products and exact quotients of primitive polynomials are primitive, so
+all arithmetic runs on Python ints; a ``Fraction`` appears only at the edge
+(constructor, coercion, ``content``, ``eval_q``).  The form is canonical, so
+equality is syntactic.  Polynomial gcds use the heuristic gcd GCDHEU (Char,
+Geddes and Gonnet, J. Symbolic Comput. 8 (1989) 31-48), which also returns
+the cofactors, so cancelling a common factor needs no second division.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd as _igcd, lcm as _ilcm
+from math import gcd as _igcd, isqrt as _isqrt, lcm as _ilcm
 
 from .poly import Poly
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 _I1 = (1,)
 
 # largest exponent parse_ratfun accepts in q^N; built-in tables stay far below
@@ -59,11 +59,11 @@ def _primitive(cs) -> tuple[int, tuple]:
     return g, tuple(c // g for c in cs)
 
 
-def _split(cs) -> tuple[Fraction, tuple]:
-    """Content and primitive part of nonzero int/Fraction coefficients."""
-    den = _ilcm(*(c.denominator for c in cs))
-    g, prim = _primitive([c.numerator * (den // c.denominator) for c in cs])
-    return Fraction(g, den), prim
+def _split(cs) -> tuple[int, int, tuple]:
+    """(g, d, p) with cs = g/d * p, d > 0, gcd(g, d) = 1 and p primitive."""
+    d = _ilcm(*(c.denominator for c in cs))
+    g, prim = _primitive([c.numerator * (d // c.denominator) for c in cs])
+    return g, d, prim
 
 
 def _combine(u: int, a: tuple, v: int, b: tuple) -> list:
@@ -78,43 +78,13 @@ def _combine(u: int, a: tuple, v: int, b: tuple) -> list:
     return out
 
 
-def _pseudo_rem(a: tuple, b: tuple) -> list:
-    # remainder of (a scaled by powers of b's leading coefficient) mod b;
-    # scalar factors are irrelevant for gcd purposes
+def _divexact(a: tuple, b: tuple):
+    """a/b if the primitive b divides a over the integers, else None."""
     db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    for i in range(len(r) - 1 - db, -1, -1):
-        top = r[i + db]
-        if not top:
-            continue
-        # r <- lb*r - top * x^i * b, cancelling the x^(i+db) coefficient
-        if lb != 1:
-            for k in range(i + db):
-                r[k] *= lb
-        for k in range(db):
-            r[i + k] -= top * b[k]
-        r[i + db] = 0
-    while r and not r[-1]:
-        r.pop()
-    return r
-
-
-def _gcd_poly(a: tuple, b: tuple) -> tuple:
-    """Primitive gcd of two primitive polynomials, by the primitive PRS."""
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        r = _pseudo_rem(a, b)
-        if not r:
-            return b
-        a, b = b, _primitive(r)[1]
-    return _I1
-
-
-def _divexact(a: tuple, b: tuple) -> tuple:
-    """a/b for a divisor b of a; the quotient has integer coefficients."""
-    db = len(b) - 1
+    if not db:
+        return a
+    if db >= len(a):
+        return None
     lb = b[-1]
     rem = list(a)
     out = [0] * (len(a) - db)
@@ -123,39 +93,75 @@ def _divexact(a: tuple, b: tuple) -> tuple:
         if c:
             f, r = divmod(c, lb)
             if r:
-                raise ArithmeticError("inexact polynomial division")
+                return None
             out[i] = f
             for k in range(db):
                 rem[i + k] -= f * b[k]
     if any(rem[:db]):
-        raise ArithmeticError("inexact polynomial division")
+        return None
     return tuple(out)
 
 
-def _cancel(num: tuple, den: tuple) -> tuple[tuple, tuple]:
-    g = _gcd_poly(num, den)
-    if len(g) == 1:
-        return num, den
-    return _divexact(num, g), _divexact(den, g)
+def _at(cs: tuple, x: int) -> int:
+    v = 0
+    for c in reversed(cs):
+        v = v * x + c
+    return v
+
+
+def _gcd_poly(a: tuple, b: tuple) -> tuple[tuple, tuple, tuple]:
+    """(g, a/g, b/g) for primitive a and b, g their primitive gcd, by GCDHEU.
+
+    The primitive part of the symmetric x-adic digits of igcd(a(x), b(x)) is
+    the gcd if it divides a and b and x >= 2*min(|a|, |b|) + 2 (max norms).
+    x only grows, and with a = g*u, b = g*v the digits are +-c*g for a divisor
+    c of Res(u, v) != 0 once x > 2*|Res(u, v)|*|g|, so the search ends.
+    """
+    x = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    while True:
+        h = _igcd(_at(a, x), _at(b, x))
+        half = x >> 1
+        digits = []
+        while h:
+            d = h % x
+            if d > half:
+                d -= x
+            digits.append(d)
+            h = (h - d) // x
+        g = _primitive(digits)[1]
+        ca = _divexact(a, g)
+        if ca is not None:
+            cb = _divexact(b, g)
+            if cb is not None:
+                return g, ca, cb
+        # the growth rule of sympy's heugcd
+        x = 73794 * x * _isqrt(_isqrt(x)) // 27011
 
 
 class RationalFunction:
-    """Canonical content * num/den over primitive integer polynomials in q."""
+    """Canonical a/b * num/den over primitive integer polynomials in q."""
 
-    __slots__ = ("content", "_num", "_den")
+    __slots__ = ("_a", "_b", "_num", "_den")
 
     def __init__(self, num, den=1):
         num, den = _coeffs(num), _coeffs(den)
         if not den:
             raise ZeroDivisionError("zero divisor")
         if not num:
-            self.content, self._num, self._den = _F0, (), _I1
+            self._a, self._b, self._num, self._den = 0, 1, (), _I1
             return
-        nc, n = _split(num)
-        dc, d = _split(den)
+        gn, dn, n = _split(num)
+        gd, dd, d = _split(den)
         if len(n) > 1 and len(d) > 1:
-            n, d = _cancel(n, d)
-        self.content, self._num, self._den = nc / dc, n, d
+            _, n, d = _gcd_poly(n, d)
+        a, b = gn * dd, dn * gd
+        g = _igcd(a, b) if b > 0 else -_igcd(a, b)
+        self._a, self._b, self._num, self._den = a // g, b // g, n, d
+
+    @property
+    def content(self) -> Fraction:
+        """The rational factor a/b in front of num/den."""
+        return Fraction(self._a, self._b)
 
     @property
     def num(self) -> Poly:
@@ -170,19 +176,20 @@ class RationalFunction:
     # -- basic protocol ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.content
+        return not self._a
 
     def __bool__(self) -> bool:
-        return bool(self.content)
+        return bool(self._a)
 
     def __eq__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self.content == o.content and self._num == o._num and self._den == o._den
+        return (self._a == o._a and self._b == o._b
+                and self._num == o._num and self._den == o._den)
 
     def __hash__(self):
-        return hash((self.content, self._num, self._den))
+        return hash((self._a, self._b, self._num, self._den))
 
     def __repr__(self):
         return f"RationalFunction({self.render()!r})"
@@ -196,99 +203,99 @@ class RationalFunction:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        c1, c2 = self.content, o.content
-        if not c2:
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        if not a2:
             return self
-        if not c1:
+        if not a1:
             return o
         n1, d1, n2, d2 = self._num, self._den, o._num, o._den
         if n1 == n2 and d1 == d2:
-            c = c1 + c2
-            return _new(c, n1, d1) if c else ZERO
-        # c1 = g*u1 and c2 = g*u2 with integers u1, u2
-        top = _igcd(c1.numerator, c2.numerator)
-        bottom = _ilcm(c1.denominator, c2.denominator)
-        u1 = c1.numerator // top * (bottom // c1.denominator)
-        u2 = c2.numerator // top * (bottom // c2.denominator)
+            a, b = a1 * b2 + a2 * b1, b1 * b2
+            if not a:
+                return ZERO
+            g = _igcd(a, b)
+            return _new(a // g, b // g, n1, d1)
+        # a1/b1 = top/bottom * u1 and a2/b2 = top/bottom * u2 with integers u1, u2
+        top = _igcd(a1, a2)
+        bottom = b1 // _igcd(b1, b2) * b2
+        u1 = a1 // top * (bottom // b1)
+        u2 = a2 // top * (bottom // b2)
         # denominator-gcd form: only a factor of g = gcd(d1, d2) can cancel afterwards
         if d1 == d2:
             g, t1, t2 = d1, _I1, _I1
+        elif len(d1) > 1 and len(d2) > 1:
+            g, t1, t2 = _gcd_poly(d1, d2)
         else:
-            g = _gcd_poly(d1, d2) if len(d1) > 1 and len(d2) > 1 else _I1
-            t1, t2 = (_divexact(d1, g), _divexact(d2, g)) if len(g) > 1 else (d1, d2)
+            g, t1, t2 = _I1, d1, d2
         num = _combine(u1, _mul(n1, t2), u2, _mul(n2, t1))
         if not num:
             return ZERO
         k, num = _primitive(num)
-        den = _mul(d1, t2)
+        den = d1  # g * t1
         if len(g) > 1 and len(num) > 1:
-            g2 = _gcd_poly(num, g)
+            g2, num, g = _gcd_poly(num, g)
             if len(g2) > 1:
-                num, den = _divexact(num, g2), _divexact(den, g2)
-        return _new(Fraction(top * k, bottom), num, den)
+                den = _mul(g, t1)
+        # top is prime to bottom, so only k can share a factor with it
+        c = _igcd(k, bottom)
+        return _new(top * (k // c), bottom // c, num, _mul(den, t2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(-self.content, self._num, self._den)
+        return _new(-self._a, self._b, self._num, self._den)
 
     def __sub__(self, other):
         o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other):
         o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return NotImplemented if o is None else o + (-self)
 
     def __mul__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        c = self.content * o.content
-        if not c:
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        if not a1 or not a2:
             return ZERO
+        g, h = _igcd(a1, b2), _igcd(a2, b1)
         n1, d1, n2, d2 = self._num, self._den, o._num, o._den
         if len(n1) > 1 and len(d2) > 1:
-            n1, d2 = _cancel(n1, d2)
+            _, n1, d2 = _gcd_poly(n1, d2)
         if len(n2) > 1 and len(d1) > 1:
-            n2, d1 = _cancel(n2, d1)
-        return _new(c, _mul(n1, n2), _mul(d1, d2))
+            _, n2, d1 = _gcd_poly(n2, d1)
+        return _new(a1 // g * (a2 // h), b1 // h * (b2 // g), _mul(n1, n2), _mul(d1, d2))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RationalFunction":
-        if not self.content:
+        a, b = self._a, self._b
+        if not a:
             raise ZeroDivisionError("zero divisor")
-        return _new(1 / self.content, self._den, self._num)
+        return _new(b, a, self._den, self._num) if a > 0 else _new(-b, -a, self._den, self._num)
 
     def __truediv__(self, other):
         o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other):
         o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return NotImplemented if o is None else o * self.inverse()
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        if not self.content:
+        if not self._a:
             return ZERO if n else ONE
-        # coprime num and den stay coprime under powers
+        # coprime num and den (and a and b) stay coprime under powers
         num = den = _I1
         for _ in range(n):
             num, den = _mul(num, self._num), _mul(den, self._den)
-        return _new(self.content ** n, num, den)
+        return _new(self._a ** n, self._b ** n, num, den)
 
     # -- evaluation and rendering -------------------------------------------
 
@@ -302,17 +309,17 @@ class RationalFunction:
 
     def render(self) -> str:
         """Integer numerator over integer denominator, e.g. "(1-q)/(2+2q)"."""
-        a, b = self.content.numerator, self.content.denominator
+        a, b = self._a, self._b
         ns = _int_poly_str([a * c for c in self._num])
         if b == 1 and self._den == _I1:
             return ns
         return f"({ns})/({_int_poly_str([b * c for c in self._den])})"
 
 
-def _new(content: Fraction, num: tuple, den: tuple) -> RationalFunction:
+def _new(a: int, b: int, num: tuple, den: tuple) -> RationalFunction:
     """A value from parts already in canonical form."""
     r = object.__new__(RationalFunction)
-    r.content, r._num, r._den = content, num, den
+    r._a, r._b, r._num, r._den = a, b, num, den
     return r
 
 
@@ -328,13 +335,13 @@ def _coerce(v):
     if isinstance(v, RationalFunction):
         return v
     if isinstance(v, (int, Fraction)):
-        return _new(Fraction(v), _I1, _I1) if v else ZERO
+        return _new(v.numerator, v.denominator, _I1, _I1) if v else ZERO
     return None
 
 
-ZERO = _new(_F0, (), _I1)
-ONE = _new(_F1, _I1, _I1)
-QSYM = _new(_F1, (0, 1), _I1)
+ZERO = _new(0, 1, (), _I1)
+ONE = _new(1, 1, _I1, _I1)
+QSYM = _new(1, 1, (0, 1), _I1)
 
 
 def rf(value) -> RationalFunction:

@@ -78,6 +78,12 @@ def test_malformed_custom_psi_file(tmp_path, capsys):
     assert main(["table", "--psi", str(named), "--format", "json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "malformed psi file" in captured.err
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"nmae": "mine", "psi": ["1", "1", "1/2"]}))
+    assert main(["table", "--psi", str(typo), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed psi file" in captured.err and "'nmae'" in captured.err
 
 
 def test_custom_psi_file_accepted(tmp_path, capsys):
