@@ -43,12 +43,10 @@ from .psi import (
 )
 from .ratfun import QSYM, RationalFunction, parse_ratfun, rf
 from .sequences import (
-    BasicSequence,
-    ShefferSequence,
     basic_sequence,
     binomial_residuals,
+    lowering_residuals,
     q_laguerre_closed,
-    sheffer_binomial_residuals,
     sheffer_sequence,
 )
 from .su2q import SpinRep, polar_decompose, q_bracket, su2_build, su2_commutator_check

@@ -17,8 +17,6 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
-
 from . import plane as plane_mod
 from .expansion import expand_operator, reconstruct_operator
 from .operators import (
@@ -127,7 +125,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 def _sequence_payload(psi: PsiSequence, delta: DeltaOperator, polys) -> dict:
     return {
         "psi": psi.name,
-        "Q": [c.render() for c in delta.series.coeffs],
+        "Q": [c.render() for c in delta.coeffs],
         "polys": [_render_poly(p) for p in polys],
     }
 
@@ -145,8 +143,8 @@ def _emit_polys(fmt: str, payload: dict, polys) -> None:
 def cmd_basic(args: argparse.Namespace) -> int:
     psi = _load_psi(args.psi, max(args.N + 2, 16))
     delta = delta_by_name(args.Q, psi, args.N + 1)
-    seq = basic_sequence(delta, args.N, method="solve")
-    _emit_polys(args.format, _sequence_payload(psi, delta, seq.polys), seq.polys)
+    polys = basic_sequence(delta, args.N, method="solve")
+    _emit_polys(args.format, _sequence_payload(psi, delta, polys), polys)
     return 0
 
 
@@ -156,10 +154,10 @@ def cmd_sheffer(args: argparse.Namespace) -> int:
     psi = _load_psi(args.psi, max(args.N + 2, 16))
     delta = delta_by_name(args.Q, psi, args.N + 1)
     factor = SHEFFER_FACTORS[args.S](psi, args.N + 1, args.alpha or Fraction(0))
-    seq = sheffer_sequence(delta, factor, args.N)
-    payload = _sequence_payload(psi, delta, seq.polys)
+    polys = sheffer_sequence(factor, basic_sequence(delta, args.N, method="solve"))
+    payload = _sequence_payload(psi, delta, polys)
     payload["S"] = [c.render() for c in factor.coeffs]
-    _emit_polys(args.format, payload, seq.polys)
+    _emit_polys(args.format, payload, polys)
     return 0
 
 
@@ -180,7 +178,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
     exact = reconstruct_operator(coeff_polys, delta, dim).cols == table.cols
     payload = {
         "psi": psi.name,
-        "Q": [c.render() for c in delta.series.coeffs],
+        "Q": [c.render() for c in delta.coeffs],
         "op": args.op,
         "coeff_polys": [_render_poly(p) for p in coeff_polys],
         "reconstruction_exact": exact,
@@ -227,7 +225,7 @@ def cmd_nogo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _matrix_json(a: np.ndarray) -> list:
+def _matrix_json(a) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in a]
 
 

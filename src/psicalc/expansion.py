@@ -4,18 +4,17 @@ Every linear operator preserving a truncated polynomial space has a
 unique expansion T = sum_n g_n(xhat_Q) Q^n, where xhat_Q shifts the basic
 sequence of Q up by one.  The coefficients g_n come out of a triangular
 solve over the basic basis; reconstruction must reproduce T exactly,
-which is what the roundtrip checks assert.
+which is what the roundtrip checks assert.  The deformed bracket of
+(Q, xhat_Q) is checked as a list of residuals on the basic basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .operators import DeltaOperator, OperatorMatrix
+from .operators import DeltaOperator, OperatorMatrix, combine
 from .poly import Poly
 from .psi import monomial
 from .ratfun import ZERO, RationalFunction
-from .sequences import BasicSequence, basic_sequence
+from .sequences import basic_sequence
 
 
 def to_basic_coords(polys: tuple[Poly, ...], p: Poly) -> list[RationalFunction]:
@@ -32,32 +31,18 @@ def to_basic_coords(polys: tuple[Poly, ...], p: Poly) -> list[RationalFunction]:
     return coords
 
 
-def from_basic_coords(polys: tuple[Poly, ...], coords) -> Poly:
-    acc = Poly()
-    for k, c in enumerate(coords):
-        if c:
-            acc = acc + polys[k].scale(c)
-    return acc
-
-
-def dual_xhat(Q: DeltaOperator, n: int, basic: BasicSequence | None = None) -> OperatorMatrix:
+def dual_xhat(Q: DeltaOperator, n: int, basic: tuple[Poly, ...] | None = None) -> OperatorMatrix:
     """Table of the raising map p_k -> p_{k+1} on monomials of degree <= n."""
-    if basic is None or basic.top < n + 1:
+    if basic is None or len(basic) <= n + 1:
         basic = basic_sequence(Q, n + 1, method="solve")
-    polys = basic.polys
-    cols = []
-    for j in range(n + 1):
-        coords = to_basic_coords(polys[: j + 1], monomial(j))
-        img = Poly()
-        for k, c in enumerate(coords):
-            if c:
-                img = img + polys[k + 1].scale(c)
-        cols.append(img)
-    return OperatorMatrix(tuple(cols))
+    return OperatorMatrix(tuple(
+        combine(basic[1:], to_basic_coords(basic[: j + 1], monomial(j)))
+        for j in range(n + 1)
+    ))
 
 
 def expand_operator(
-    T: OperatorMatrix, Q: DeltaOperator, basic: BasicSequence | None = None
+    T: OperatorMatrix, Q: DeltaOperator, basic: tuple[Poly, ...] | None = None
 ) -> list[Poly]:
     """Coefficient polynomials g_0 ... g_N with T = sum g_n(xhat_Q) Q^n.
 
@@ -69,10 +54,9 @@ def expand_operator(
     if T.max_degree() > N:
         raise ValueError("truncation exceeded")
     psi = Q.psi
-    if basic is None or basic.top < N:
+    if basic is None or len(basic) <= N:
         basic = basic_sequence(Q, N, method="solve")
-    polys = basic.polys
-    images = [to_basic_coords(polys, T.apply(polys[m])) for m in range(N + 1)]
+    images = [to_basic_coords(basic, T.apply(basic[m])) for m in range(N + 1)]
     coeff_rows: list[list[RationalFunction]] = []
     for m in range(N + 1):
         # the index-m pivot is falling(m, m) = m_psi!
@@ -95,19 +79,18 @@ def reconstruct_operator(
     coeff_polys: list[Poly],
     Q: DeltaOperator,
     dim: int,
-    basic: BasicSequence | None = None,
+    basic: tuple[Poly, ...] | None = None,
 ) -> OperatorMatrix:
     """Assemble sum_n g_n(xhat_Q) Q^n as a table on monomials x^0..x^{dim-1}."""
     N = dim - 1
     psi = Q.psi
     extra = max((g.degree - n for n, g in enumerate(coeff_polys) if g.coeffs), default=0)
     M = N + max(extra, 0)
-    if basic is None or basic.top < M:
+    if basic is None or len(basic) <= M:
         basic = basic_sequence(Q, M, method="solve")
-    polys = basic.polys
     cols = []
     for j in range(dim):
-        a = to_basic_coords(polys[: j + 1], monomial(j))
+        a = to_basic_coords(basic[: j + 1], monomial(j))
         out = [ZERO] * (M + 1)
         for n, g in enumerate(coeff_polys):
             if n > j or not g.coeffs:
@@ -120,55 +103,38 @@ def reconstruct_operator(
                 for t, ct in enumerate(g.coeffs):
                     if ct:
                         out[m - n + t] = out[m - n + t] + base * ct
-        cols.append(from_basic_coords(polys, out))
+        cols.append(combine(basic, out))
     return OperatorMatrix(tuple(cols))
-
-
-@dataclass(frozen=True)
-class MutatorReport:
-    """Residuals of Q xhat_Q - qhat xhat_Q Q - id applied to the basic basis."""
-
-    psi_name: str
-    delta_name: str
-    residuals: tuple[Poly, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.is_zero() for r in self.residuals)
 
 
 def _mutator_scale(psi, polys: tuple[Poly, ...], p: Poly) -> Poly:
     coords = to_basic_coords(polys, p)
-    out = Poly()
-    for n, c in enumerate(coords):
-        if c:
-            out = out + polys[n].scale(c * psi.mutator_eigenvalue(n))
-    return out
+    return combine(polys, [c and c * psi.mutator_eigenvalue(n) for n, c in enumerate(coords)])
 
 
 def qmutator_check(
-    Q: DeltaOperator, n_top: int, delta_name: str = "?", basic: BasicSequence | None = None
-) -> MutatorReport:
-    """Verify the deformed bracket of (Q, xhat_Q) acts as the identity.
+    Q: DeltaOperator, n_top: int, basic: tuple[Poly, ...] | None = None
+) -> list[Poly]:
+    """Residuals of the deformed bracket of (Q, xhat_Q) against the identity.
 
-    Checks Q xhat_Q p_n - qhat xhat_Q Q p_n = p_n exactly for n < n_top.
-    The qhat factor multiplies the index-n component by
-    ((n+1)_psi - 1)/n_psi; components on p_0 are always zero here, so the
-    undefined n = 0 eigenvalue is never evaluated.
+    Returns Q xhat_Q p_n - qhat xhat_Q Q p_n - p_n for n < n_top; all are
+    zero when the bracket holds.  The qhat factor multiplies the index-n
+    component by ((n+1)_psi - 1)/n_psi; components on p_0 are always zero
+    here, so the undefined n = 0 eigenvalue is never evaluated.
     """
     psi = Q.psi
-    if basic is None or basic.top < n_top:
+    if basic is None or len(basic) <= n_top:
         basic = basic_sequence(Q, n_top, method="solve")
     raise_map = dual_xhat(Q, n_top - 1, basic=basic)
     residuals = []
     for n in range(n_top):
-        p_n = basic.polys[n]
+        p_n = basic[n]
         first = Q.apply(raise_map.apply(p_n))
         lowered = Q.apply(p_n)
         second = (
-            _mutator_scale(psi, basic.polys, raise_map.apply(lowered))
+            _mutator_scale(psi, basic, raise_map.apply(lowered))
             if lowered.coeffs
             else Poly()
         )
         residuals.append(first - second - p_n)
-    return MutatorReport(psi.name, delta_name, tuple(residuals))
+    return residuals

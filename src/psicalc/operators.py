@@ -4,6 +4,8 @@ A series sum_k a_k D^k (D the psi-derivative) acts exactly on polynomials
 whose degree does not exceed the truncation order, since D lowers degree.
 Delta operators are the series with a_0 = 0, a_1 != 0; they factor as
 D * S with S invertible, which drives every construction downstream.
+Operator tables record the image of each monomial, and `combine` forms
+the linear combinations that applying a table or changing basis needs.
 """
 
 from __future__ import annotations
@@ -17,11 +19,19 @@ from .psi import PsiSequence, monomial, psi_derivative, xhat_psi
 from .ratfun import ONE, ZERO, RationalFunction, rf
 
 
-def _coerce_coeffs(coeffs: Iterable) -> list[RationalFunction]:
-    out = []
-    for c in coeffs:
-        out.append(c if isinstance(c, RationalFunction) else rf(c))
-    return out
+def combine(polys: Sequence[Poly], coeffs: Sequence) -> Poly:
+    """sum_k coeffs[k] * polys[k] in one pass; zero coefficients are skipped."""
+    out: list = []
+    for p, c in zip(polys, coeffs):
+        if not c:
+            continue
+        for i, a in enumerate(p.coeffs):
+            t = a * c
+            if i < len(out):
+                out[i] = out[i] + t
+            else:
+                out.append(t)
+    return Poly(out)
 
 
 @dataclass(frozen=True)
@@ -35,32 +45,9 @@ class OperatorSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_invertible(self) -> bool:
-        return bool(self.coeffs[0])
-
     def _same(self, other: "OperatorSeries") -> None:
         if self.psi is not other.psi and self.psi != other.psi:
             raise ValueError("operator series over different psi sequences")
-
-    def __add__(self, other: "OperatorSeries") -> "OperatorSeries":
-        self._same(other)
-        n = min(self.order, other.order)
-        return OperatorSeries(
-            self.psi, tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1))
-        )
-
-    def __sub__(self, other: "OperatorSeries") -> "OperatorSeries":
-        self._same(other)
-        n = min(self.order, other.order)
-        return OperatorSeries(
-            self.psi, tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1))
-        )
-
-    def __neg__(self) -> "OperatorSeries":
-        return OperatorSeries(self.psi, tuple(-c for c in self.coeffs))
-
-    def scale(self, s) -> "OperatorSeries":
-        return OperatorSeries(self.psi, tuple(c * s for c in self.coeffs))
 
     def __mul__(self, other: "OperatorSeries") -> "OperatorSeries":
         self._same(other)
@@ -90,14 +77,6 @@ class OperatorSeries:
                     s = s + ai * out[k - i]
             out.append(-(s * inv0) if s else ZERO)
         return OperatorSeries(self.psi, tuple(out))
-
-    def pow_int(self, n: int) -> "OperatorSeries":
-        if n < 0:
-            return self.invert().pow_int(-n)
-        acc = one_series(self.psi, self.order)
-        for _ in range(n):
-            acc = acc * self
-        return acc
 
     def pincherle(self) -> "OperatorSeries":
         """Formal derivative sum_k k a_k D^{k-1}.
@@ -137,7 +116,7 @@ class OperatorSeries:
 
 def series(psi: PsiSequence, coeffs: Iterable, order: int) -> OperatorSeries:
     """Build a series with explicit truncation order, zero padded."""
-    cs = _coerce_coeffs(coeffs)
+    cs = [rf(c) for c in coeffs]
     if len(cs) > order + 1:
         if any(cs[order + 1 :]):
             raise ValueError("coefficients exceed requested order")
@@ -151,31 +130,18 @@ def one_series(psi: PsiSequence, order: int) -> OperatorSeries:
 
 
 @dataclass(frozen=True)
-class DeltaOperator:
+class DeltaOperator(OperatorSeries):
     """A series with no constant term and a nonzero linear term."""
 
-    series: OperatorSeries
-
     def __post_init__(self):
-        if self.series.coeffs[0]:
+        if self.coeffs[0]:
             raise ValueError("delta operator must kill constants")
-        if self.series.order < 1 or not self.series.coeffs[1]:
+        if self.order < 1 or not self.coeffs[1]:
             raise ValueError("delta operator needs a nonzero linear term")
-
-    @property
-    def psi(self) -> PsiSequence:
-        return self.series.psi
-
-    @property
-    def order(self) -> int:
-        return self.series.order
-
-    def apply(self, p: Poly) -> Poly:
-        return self.series.apply(p)
 
     def s_factor(self) -> OperatorSeries:
         """The invertible S with Q = D * S; coefficients shift down by one."""
-        return OperatorSeries(self.psi, self.series.coeffs[1:])
+        return OperatorSeries(self.psi, self.coeffs[1:])
 
 
 # -- named constructors used across the verification grid -------------------
@@ -183,22 +149,22 @@ class DeltaOperator:
 
 def derivative_delta(psi: PsiSequence, order: int) -> DeltaOperator:
     """Q = D itself."""
-    return DeltaOperator(series(psi, [ZERO, ONE], order))
+    return DeltaOperator(psi, series(psi, [ZERO, ONE], order).coeffs)
 
 
 def laguerre_delta(psi: PsiSequence, order: int) -> DeltaOperator:
     """Q = D/(D - 1) = -(D + D^2 + D^3 + ...)."""
-    return DeltaOperator(series(psi, [ZERO] + [-ONE] * order, order))
+    return DeltaOperator(psi, series(psi, [ZERO] + [-ONE] * order, order).coeffs)
 
 
 def quadratic_delta(psi: PsiSequence, order: int) -> DeltaOperator:
     """Q = D(1 + D); not tied to any named family, exercises generic paths."""
-    return DeltaOperator(series(psi, [ZERO, ONE, ONE], order))
+    return DeltaOperator(psi, series(psi, [ZERO, ONE, ONE], order).coeffs)
 
 
 def exp_series(psi: PsiSequence, shift, order: int) -> OperatorSeries:
     """Translation series sum_k shift^k psi_k D^k (the deformed exponential)."""
-    s = rf(shift) if not isinstance(shift, RationalFunction) else shift
+    s = rf(shift)
     coeffs = []
     power = ONE
     for k in range(order + 1):
@@ -210,7 +176,7 @@ def exp_series(psi: PsiSequence, shift, order: int) -> OperatorSeries:
 def shifted_delta(psi: PsiSequence, order: int, shift=1) -> DeltaOperator:
     """Q = D * E^shift(D), the deformed shifted derivative."""
     inner = exp_series(psi, shift, order - 1)
-    return DeltaOperator(OperatorSeries(psi, (ZERO,) + inner.coeffs))
+    return DeltaOperator(psi, (ZERO,) + inner.coeffs)
 
 
 def exp_sq_series(psi: PsiSequence, order: int) -> OperatorSeries:
@@ -287,17 +253,10 @@ class OperatorMatrix:
             raise ValueError(
                 f"operator table of size {self.dim} cannot act on degree {p.degree}"
             )
-        acc = Poly()
-        for j, c in enumerate(p.coeffs):
-            if c:
-                acc = acc + self.cols[j].scale(c)
-        return acc
+        return combine(self.cols, p.coeffs)
 
     def max_degree(self) -> int:
         return max((c.degree for c in self.cols), default=-1)
-
-    def is_degree_nonincreasing(self) -> bool:
-        return all(c.degree <= j for j, c in enumerate(self.cols))
 
 
 def series_matrix(s: OperatorSeries, dim: int) -> OperatorMatrix:

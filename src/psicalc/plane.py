@@ -1,7 +1,8 @@
 """Deformed-commuting coordinate pairs and the binomial no-go witness.
 
 The pair A = multiply-by-x and B = y * (x^n -> b_n x^n) satisfies
-BA - qhat AB = 0 once b solves the induced recurrence.  For the q table
+BA - qhat AB = 0 once b solves the induced recurrence, checked as a
+list of residuals on the monomials.  For the q table
 (A + B)^n expands with the deformed binomials; for other psi tables it
 provably does not, and this module produces the explicit residual.
 """
@@ -59,18 +60,8 @@ def _mutator_scale_x(psi: PsiSequence, p: Poly) -> Poly:
     return Poly(cols)
 
 
-@dataclass(frozen=True)
-class PlaneReport:
-    psi_name: str
-    residuals: tuple[Poly, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.is_zero() for r in self.residuals)
-
-
-def commutation_check(psi: PsiSequence, n_top: int) -> PlaneReport:
-    """Verify (BA - qhat AB) x^n = 0 exactly for 0 <= n < n_top."""
+def commutation_check(psi: PsiSequence, n_top: int) -> list[Poly]:
+    """Residuals (BA - qhat AB) x^n for 0 <= n < n_top; all zero when the pair commutes."""
     b = b_sequence(psi, n_top + 1)
     residuals = []
     for n in range(n_top):
@@ -78,7 +69,7 @@ def commutation_check(psi: PsiSequence, n_top: int) -> PlaneReport:
         ba = apply_b(b, multiply_x(xn))
         ab = multiply_x(apply_b(b, xn))
         residuals.append(ba - _mutator_scale_x(psi, ab))
-    return PlaneReport(psi.name, tuple(residuals))
+    return residuals
 
 
 @dataclass(frozen=True)

@@ -123,9 +123,5 @@ class Poly:
             acc = acc * inner + Poly([c])
         return acc
 
-    def derivative(self) -> "Poly":
-        """Formal derivative."""
-        return Poly([c * k for k, c in enumerate(self.coeffs)][1:])
-
     def map_coeffs(self, fn) -> "Poly":
         return Poly([fn(c) for c in self.coeffs])

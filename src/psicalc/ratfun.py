@@ -189,6 +189,9 @@ class RationalFunction:
                 and self._num == o._num and self._den == o._den)
 
     def __hash__(self):
+        if self._den == _I1 and len(self._num) <= 1:
+            # a constant equals the int or Fraction a/b, so it hashes like one
+            return hash(Fraction(self._a, self._b))
         return hash((self._a, self._b, self._num, self._den))
 
     def __repr__(self):

@@ -1,15 +1,16 @@
 """Basic and Sheffer polynomial sequences of a delta operator.
 
 A delta operator Q = D*S owns a unique basic sequence p_n (p_0 = 1,
-p_n(0) = 0, Q p_n = n_psi p_{n-1}).  Four closed constructions are
-implemented from the factor S together with an independent triangular
-solve of the defining recurrence; all five must agree exactly, which is
-the backbone of the verification suite.
+p_n(0) = 0, Q p_n = n_psi p_{n-1}), returned as a tuple of polynomials.
+Four closed constructions are implemented from the factor S together
+with an independent triangular solve of the defining recurrence; all five
+must agree exactly, which is the backbone of the verification suite.
+The lowering relation and the binomial-type identities come back as
+lists of residual polynomials, all zero when the identity holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -18,48 +19,10 @@ from .poly import Poly
 from .psi import PsiSequence, monomial, one_poly, translate, xhat_psi
 from .ratfun import ZERO, RationalFunction
 
-
-@dataclass(frozen=True)
-class BasicSequence:
-    delta: DeltaOperator
-    polys: tuple[Poly, ...]
-
-    @property
-    def psi(self) -> PsiSequence:
-        return self.delta.psi
-
-    @property
-    def top(self) -> int:
-        return len(self.polys) - 1
-
-    def lowering_residuals(self) -> list[Poly]:
-        """Q p_n - n_psi p_{n-1}; all must be zero."""
-        psi = self.psi
-        out = []
-        for n in range(1, len(self.polys)):
-            out.append(
-                self.delta.apply(self.polys[n])
-                - self.polys[n - 1].scale(psi.number(n))
-            )
-        return out
-
-
-@dataclass(frozen=True)
-class ShefferSequence:
-    delta: DeltaOperator
-    scaling: OperatorSeries
-    basic: BasicSequence
-    polys: tuple[Poly, ...]
-
-    @property
-    def psi(self) -> PsiSequence:
-        return self.delta.psi
-
-
 BASIC_METHODS = ("lagrange1", "lagrange2", "rodrigues3", "rodrigues4", "solve")
 
 
-def basic_sequence(Q: DeltaOperator, n_top: int, method: str = "solve") -> BasicSequence:
+def basic_sequence(Q: DeltaOperator, n_top: int, method: str = "solve") -> tuple[Poly, ...]:
     """Construct p_0 ... p_{n_top}; requires Q truncated at order > n_top."""
     if method not in BASIC_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {BASIC_METHODS}")
@@ -73,7 +36,13 @@ def basic_sequence(Q: DeltaOperator, n_top: int, method: str = "solve") -> Basic
                 f"delta order {Q.order} too low for n_top={n_top} (need n_top+1)"
             )
         polys = _BASIC_BUILDERS[method](Q, n_top)
-    return BasicSequence(Q, tuple(polys))
+    return tuple(polys)
+
+
+def lowering_residuals(Q: DeltaOperator, polys: tuple[Poly, ...]) -> list[Poly]:
+    """Q p_n - n_psi p_{n-1}; all zero for the basic and Sheffer sequences of Q."""
+    return [Q.apply(polys[n]) - polys[n - 1].scale(Q.psi.number(n))
+            for n in range(1, len(polys))]
 
 
 def _basic_solve(Q: DeltaOperator, n_top: int) -> list[Poly]:
@@ -84,7 +53,7 @@ def _basic_solve(Q: DeltaOperator, n_top: int) -> list[Poly]:
     commutator calculus used by the closed formulas.
     """
     psi = Q.psi
-    a = Q.series.coeffs
+    a = Q.coeffs
     polys = [one_poly()]
     for n in range(1, n_top + 1):
         rhs = polys[n - 1].scale(psi.number(n))
@@ -111,7 +80,7 @@ def _inverse_powers(Q: DeltaOperator, count: int) -> list[OperatorSeries]:
 
 def _basic_lagrange1(Q: DeltaOperator, n_top: int) -> list[Poly]:
     """p_n = Q' S^{-n-1} x^n."""
-    q_prime = Q.series.pincherle()
+    q_prime = Q.pincherle()
     powers = _inverse_powers(Q, n_top + 1)
     polys = [one_poly()]
     for n in range(1, n_top + 1):
@@ -146,7 +115,7 @@ def _basic_rodrigues3(Q: DeltaOperator, n_top: int) -> list[Poly]:
 def _basic_rodrigues4(Q: DeltaOperator, n_top: int) -> list[Poly]:
     """p_n = (n_psi/n) xhat_psi (Q')^{-1} p_{n-1}, recursively."""
     psi = Q.psi
-    qp_inv = Q.series.pincherle().invert()
+    qp_inv = Q.pincherle().invert()
     polys = [one_poly()]
     for n in range(1, n_top + 1):
         inner = qp_inv.apply(polys[n - 1])
@@ -162,16 +131,12 @@ _BASIC_BUILDERS = {
 }
 
 
-def sheffer_sequence(Q: DeltaOperator, S: OperatorSeries, n_top: int) -> ShefferSequence:
-    """s_n = S^{-1} p_n for an invertible shift-invariant S."""
-    if not S.is_invertible():
-        raise ValueError("non-invertible series")
-    if S.order < n_top:
-        raise ValueError(f"scaling order {S.order} too low for n_top={n_top}")
-    basic = basic_sequence(Q, n_top, method="solve")
+def sheffer_sequence(S: OperatorSeries, basic: tuple[Poly, ...]) -> tuple[Poly, ...]:
+    """s_n = S^{-1} p_n for an invertible shift-invariant S and the basic sequence p_n."""
     s_inv = S.invert()
-    polys = tuple(s_inv.apply(p) for p in basic.polys)
-    return ShefferSequence(Q, S, basic, polys)
+    if S.order < len(basic) - 1:
+        raise ValueError(f"scaling order {S.order} too low for n_top={len(basic) - 1}")
+    return tuple(s_inv.apply(p) for p in basic)
 
 
 def q_laguerre_closed(psi: PsiSequence, n: int) -> Poly:
@@ -199,28 +164,14 @@ def q_laguerre_closed(psi: PsiSequence, n: int) -> Poly:
 # -- binomial-type identities ------------------------------------------------
 
 
-def binomial_residuals(basic: BasicSequence, n_top: int) -> list[Poly]:
-    """Residuals of the translation identity for a basic sequence.
-
-    For each n: translate(p_n) - sum_k C(n,k)_psi p_k(x) p_{n-k}(y), as a
-    bivariate polynomial.  A genuine basic sequence gives all zeros.
-    """
-    return _translation_residuals(basic.psi, basic.polys, basic.polys, n_top)
-
-
-def sheffer_binomial_residuals(sheffer: ShefferSequence, n_top: int) -> list[Poly]:
-    """Residuals of translate(s_n) - sum_k C(n,k)_psi s_k(x) p_{n-k}(y)."""
-    return _translation_residuals(
-        sheffer.psi, sheffer.polys, sheffer.basic.polys, n_top
-    )
-
-
-def _translation_residuals(
-    psi: PsiSequence,
-    left: tuple[Poly, ...],
-    right: tuple[Poly, ...],
-    n_top: int,
+def binomial_residuals(
+    psi: PsiSequence, left: tuple[Poly, ...], right: tuple[Poly, ...], n_top: int
 ) -> list[Poly]:
+    """Residuals translate(l_n) - sum_k C(n,k)_psi l_k(x) r_{n-k}(y), n <= n_top.
+
+    Bivariate polynomials; all zero when right is a basic sequence and left
+    is the same sequence or a Sheffer sequence of its delta operator.
+    """
     out = []
     for n in range(n_top + 1):
         lhs = translate(psi, left[n])

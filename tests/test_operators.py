@@ -53,11 +53,6 @@ def test_invert_requires_constant_term():
         series(QG, [ZERO, ONE], 4).invert()
 
 
-def test_pow_int_negative():
-    f = series(QG, [ONE, ONE], 6)
-    assert f.pow_int(-2) == f.invert() * f.invert()
-
-
 def test_pincherle_on_basic_series():
     d = series(QG, [ZERO, ONE], 5)
     assert d.pincherle() == one_series(QG, 4)
@@ -77,9 +72,9 @@ def test_pincherle_matches_commutator_oracle():
 
 def test_delta_validation():
     with pytest.raises(ValueError, match="kill constants"):
-        DeltaOperator(series(QG, [ONE, ONE], 3))
+        DeltaOperator(QG, series(QG, [ONE, ONE], 3).coeffs)
     with pytest.raises(ValueError, match="linear term"):
-        DeltaOperator(series(QG, [ZERO, ZERO, ONE], 3))
+        DeltaOperator(QG, series(QG, [ZERO, ZERO, ONE], 3).coeffs)
 
 
 def test_s_factor_shifts_coefficients():
@@ -119,6 +114,5 @@ def test_operator_matrix_apply_and_bounds():
     table = OperatorMatrix.from_action(lambda p: p.shifted(1), 4)
     assert table.apply(monomial(2)) == monomial(3)
     assert table.max_degree() == 4
-    assert not table.is_degree_nonincreasing()
     with pytest.raises(ValueError, match="cannot act"):
         table.apply(monomial(4))

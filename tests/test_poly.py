@@ -31,9 +31,6 @@ def test_product_of_conjugates():
     assert got == poly([-1, 0, 1])
 
 
-def test_formal_derivative():
-    assert poly([0, 0, 0, 1]).derivative() == poly([0, 0, 3])
-    assert poly([5]).derivative().is_zero()
 
 
 def test_compose_shift():

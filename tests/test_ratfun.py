@@ -230,6 +230,14 @@ def test_one_half_has_one_form():
         assert h == halves[0] and hash(h) == hash(halves[0])
 
 
+def test_constants_hash_like_the_numbers_they_equal():
+    for value in (0, 2, -7, Fraction(1, 2), Fraction(-3, 4)):
+        c = rf(value)
+        assert c == value and hash(c) == hash(value)
+        assert {c: "x"}.get(value) == "x" and {value: "x"}.get(c) == "x"
+        assert Poly([c]) == Poly([value]) and hash(Poly([c])) == hash(Poly([value]))
+
+
 # -- the gcd contract: (g, a/g, b/g) for primitive a and b
 
 def _int_poly(draw, max_degree):

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from psicalc import sequences
 from psicalc.operators import (
+    OperatorSeries,
     delta_by_name,
     derivative_delta,
     exp_sq_series,
@@ -17,10 +19,11 @@ from psicalc.sequences import (
     BASIC_METHODS,
     basic_sequence,
     binomial_residuals,
+    lowering_residuals,
     q_laguerre_closed,
-    sheffer_binomial_residuals,
     sheffer_sequence,
 )
+from psicalc.verify import suite_method_agreement
 
 QG = qgauss()
 CL = classic()
@@ -31,33 +34,66 @@ GRID_DELTAS = ("derivative", "laguerre", "quadratic", "shifted")
 def test_derivative_delta_has_monomial_basis():
     for method in BASIC_METHODS:
         got = basic_sequence(derivative_delta(QG, 7), 6, method)
-        assert got.polys == tuple(monomial(n) for n in range(7))
+        assert got == tuple(monomial(n) for n in range(7))
 
 
 def test_laguerre_first_polys():
     seq = basic_sequence(laguerre_delta(QG, 5), 3, "solve")
-    assert seq.polys[1] == monomial(1).scale(rf(-1))
-    assert seq.polys[2] == monomial(2) - monomial(1).scale(ONE + QSYM)
+    assert seq[1] == monomial(1).scale(rf(-1))
+    assert seq[2] == monomial(2) - monomial(1).scale(ONE + QSYM)
 
 
 def test_invariants_on_grid_sample():
     for psi in GRID_PSIS:
-        seq = basic_sequence(delta_by_name("laguerre", psi, 7), 6, "solve")
-        assert seq.polys[0] == one_poly()
-        for n, p in enumerate(seq.polys):
+        delta = delta_by_name("laguerre", psi, 7)
+        seq = basic_sequence(delta, 6, "solve")
+        assert seq[0] == one_poly()
+        for n, p in enumerate(seq):
             assert p.degree == n
             if n >= 1:
                 assert not p.coeff(0, ZERO)
-        assert all(r.is_zero() for r in seq.lowering_residuals())
+        assert not any(lowering_residuals(delta, seq))
 
 
 def test_all_methods_agree_small_grid():
     for psi in GRID_PSIS:
         for name in GRID_DELTAS:
             delta = delta_by_name(name, psi, 7)
-            ref = basic_sequence(delta, 6, "solve").polys
+            ref = basic_sequence(delta, 6, "solve")
             for method in ("lagrange1", "lagrange2", "rodrigues3", "rodrigues4"):
-                assert basic_sequence(delta, 6, method).polys == ref, (psi.name, name, method)
+                assert basic_sequence(delta, 6, method) == ref, (psi.name, name, method)
+
+
+@pytest.mark.parametrize("owner, name", [
+    (OperatorSeries, "invert"), (OperatorSeries, "pincherle"), (sequences, "_basic_solve"),
+])
+def test_method_agreement_catches_a_broken_primitive(monkeypatch, owner, name):
+    # the five constructions share no shortcut, so one wrong coefficient in
+    # a primitive some of them use must fail every cell of the methods suite
+    real = getattr(owner, name)
+
+    def broken(*args):
+        got = real(*args)
+        if isinstance(got, OperatorSeries):
+            return OperatorSeries(got.psi, (got.coeffs[0] + ONE,) + got.coeffs[1:])
+        return got[:-1] + [got[-1] + one_poly()]
+
+    monkeypatch.setattr(owner, name, broken)
+    rows = suite_method_agreement(n_top=4)
+    assert len(rows) == 16 and not any(r.passed for r in rows)
+
+
+def test_solve_uses_no_series_operation(monkeypatch):
+    delta = delta_by_name("quadratic", QG, 7)
+    want = basic_sequence(delta, 6, "solve")
+
+    def forbidden(*args):
+        raise AssertionError("the solve oracle must not use series operations")
+
+    for name in ("__mul__", "invert", "pincherle", "truncate", "apply"):
+        monkeypatch.setattr(OperatorSeries, name, forbidden)
+    monkeypatch.setattr(type(delta), "s_factor", forbidden)
+    assert basic_sequence(delta, 6, "solve") == want
 
 
 def test_abel_polynomials_from_shifted_delta():
@@ -68,7 +104,7 @@ def test_abel_polynomials_from_shifted_delta():
         base = x - one_poly().scale(rf(n))
         for _ in range(n - 1):
             expect = expect * base
-        assert seq.polys[n] == expect
+        assert seq[n] == expect
 
 
 def test_order_too_low_rejected():
@@ -85,20 +121,19 @@ def test_unknown_method():
 
 def test_sheffer_identity_scaling_gives_basic():
     delta = laguerre_delta(QG, 7)
-    sh = sheffer_sequence(delta, one_series(QG, 6), 6)
-    assert sh.polys == sh.basic.polys
+    basic = basic_sequence(delta, 6)
+    assert sheffer_sequence(one_series(QG, 6), basic) == basic
 
 
 def test_sheffer_roundtrip_and_recurrence():
     delta = derivative_delta(QG, 9)
     factor = exp_sq_series(QG, 9)
-    sh = sheffer_sequence(delta, factor, 8)
-    assert sh.polys[0].degree == 0 and sh.polys[0].coeffs[0]
-    for n in range(1, 9):
-        got = delta.apply(sh.polys[n]) - sh.polys[n - 1].scale(QG.number(n))
-        assert got.is_zero()
+    basic = basic_sequence(delta, 8)
+    sh = sheffer_sequence(factor, basic)
+    assert sh[0].degree == 0 and sh[0].coeffs[0]
+    assert not any(lowering_residuals(delta, sh))
     for n in range(9):
-        assert factor.apply(sh.polys[n]) == sh.basic.polys[n]
+        assert factor.apply(sh[n]) == basic[n]
 
 
 def test_sheffer_requires_invertible_scaling():
@@ -106,7 +141,7 @@ def test_sheffer_requires_invertible_scaling():
     from psicalc.operators import series
 
     with pytest.raises(ValueError, match="non-invertible"):
-        sheffer_sequence(delta, series(QG, [ZERO, ONE], 6), 5)
+        sheffer_sequence(series(QG, [ZERO, ONE], 6), basic_sequence(delta, 5))
 
 
 def test_laguerre_closed_form_examples():
@@ -114,20 +149,20 @@ def test_laguerre_closed_form_examples():
     assert q_laguerre_closed(QG, 1) == monomial(1).scale(rf(-1))
     oracle = basic_sequence(laguerre_delta(QG, 11), 10, "solve")
     for n in range(11):
-        assert q_laguerre_closed(QG, n) == oracle.polys[n]
+        assert q_laguerre_closed(QG, n) == oracle[n]
 
 
 def test_laguerre_closed_specializes_to_classic():
     classic_oracle = basic_sequence(laguerre_delta(CL, 4), 3, "solve")
     specialized = q_laguerre_closed(QG, 3).map_coeffs(lambda c: rf(c.eval_q(1)))
-    assert specialized == classic_oracle.polys[3]
+    assert specialized == classic_oracle[3]
 
 
 def test_laguerre_closed_works_for_other_tables():
     fib = fibonacci()
     oracle = basic_sequence(laguerre_delta(fib, 7), 6, "solve")
     for n in range(7):
-        assert q_laguerre_closed(fib, n) == oracle.polys[n]
+        assert q_laguerre_closed(fib, n) == oracle[n]
 
 
 def test_laguerre_order_scaling_values():
@@ -140,13 +175,12 @@ def test_laguerre_order_scaling_values():
 def test_binomial_identity_small():
     for psi in GRID_PSIS:
         seq = basic_sequence(delta_by_name("quadratic", psi, 7), 6, "solve")
-        assert all(r.is_zero() for r in binomial_residuals(seq, 6))
+        assert not any(binomial_residuals(psi, seq, seq, 6))
 
 
 def test_sheffer_binomial_identity_small():
-    sh = sheffer_sequence(
-        laguerre_delta(QG, 7), laguerre_scaling(QG, Fraction(0), 7), 6
-    )
-    assert all(r.is_zero() for r in sheffer_binomial_residuals(sh, 6))
+    basic = basic_sequence(laguerre_delta(QG, 7), 6)
+    sh = sheffer_sequence(laguerre_scaling(QG, Fraction(0), 7), basic)
+    assert not any(binomial_residuals(QG, sh, basic, 6))
     # n = 0: both sides are the constant s_0
-    assert sheffer_binomial_residuals(sh, 0)[0].is_zero()
+    assert binomial_residuals(QG, sh, basic, 0)[0].is_zero()
