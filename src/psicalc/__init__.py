@@ -13,7 +13,6 @@ diagonalized by the Sylvester matrix.
 from .expansion import dual_xhat, expand_operator, qmutator_check, reconstruct_operator
 from .operators import (
     DeltaOperator,
-    OperatorMatrix,
     OperatorSeries,
     delta_by_name,
     derivative_delta,

@@ -23,10 +23,10 @@ from .operators import (
     DELTA_FAMILIES,
     SHEFFER_FACTORS,
     DeltaOperator,
-    OperatorMatrix,
     delta_by_name,
     laguerre_delta,
     scaling_matrix,
+    table,
 )
 from .psi import BUILTIN_PSIS, PsiSequence, by_name, custom, psi_derivative, qgauss
 from .poly import Poly
@@ -40,10 +40,8 @@ USAGE_ERROR = 2
 
 # --op choices: operator tables on x^0..x^{dim-1} that `expand` expands
 OPERATORS = {
-    "identity": lambda psi, dim: OperatorMatrix.from_action(lambda p: p, dim),
-    "number": lambda psi, dim: OperatorMatrix.from_action(
-        lambda p: psi_derivative(psi, p).shifted(1), dim
-    ),
+    "identity": lambda psi, dim: table(lambda p: p, dim),
+    "number": lambda psi, dim: table(lambda p: psi_derivative(psi, p).shifted(1), dim),
     "qscale": lambda psi, dim: scaling_matrix(QSYM, dim),
 }
 
@@ -64,7 +62,7 @@ def _load_psi(name: str, n_max: int) -> PsiSequence:
                 payload = json.load(fh)
         except OSError as exc:
             raise ValueError(f"cannot read psi file: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
             raise ValueError(f"malformed psi file: {exc}") from None
         if isinstance(payload, dict):
             unknown = sorted(set(payload) - {"name", "psi"})
@@ -172,10 +170,10 @@ def cmd_laguerre(args: argparse.Namespace) -> int:
 def cmd_expand(args: argparse.Namespace) -> int:
     psi = _load_psi(args.psi, max(args.N + 2, 16))
     delta = delta_by_name(args.Q, psi, args.N + 1)
-    dim = args.N + 1
-    table = OPERATORS[args.op](psi, dim)
-    coeff_polys = expand_operator(table, delta)
-    exact = reconstruct_operator(coeff_polys, delta, dim).cols == table.cols
+    op = OPERATORS[args.op](psi, args.N + 1)
+    basic = basic_sequence(delta, args.N, method="solve")
+    coeff_polys = expand_operator(op, delta, basic)
+    exact = reconstruct_operator(coeff_polys, delta, basic) == op
     payload = {
         "psi": psi.name,
         "Q": [c.render() for c in delta.coeffs],

@@ -6,15 +6,24 @@ sequence of Q up by one.  The coefficients g_n come out of a triangular
 solve over the basic basis; reconstruction must reproduce T exactly,
 which is what the roundtrip checks assert.  The deformed bracket of
 (Q, xhat_Q) is checked as a list of residuals on the basic basis.
+
+Everything here is read off the basic sequence p_0, p_1, ... of Q, which
+the caller solves once and passes in; a sequence too short for the
+requested size is an error.  Operator tables are tuples of polynomials,
+entry j the image of x^j (see `operators.table`).
 """
 
 from __future__ import annotations
 
-from .operators import DeltaOperator, OperatorMatrix, combine
+from .operators import DeltaOperator, combine
 from .poly import Poly
 from .psi import monomial
 from .ratfun import ZERO, RationalFunction
-from .sequences import basic_sequence
+
+
+def _need(basic: tuple[Poly, ...], n: int) -> None:
+    if len(basic) <= n:
+        raise ValueError(f"basic sequence of length {len(basic)} too short: need p_0 ... p_{n}")
 
 
 def to_basic_coords(polys: tuple[Poly, ...], p: Poly) -> list[RationalFunction]:
@@ -31,32 +40,30 @@ def to_basic_coords(polys: tuple[Poly, ...], p: Poly) -> list[RationalFunction]:
     return coords
 
 
-def dual_xhat(Q: DeltaOperator, n: int, basic: tuple[Poly, ...] | None = None) -> OperatorMatrix:
-    """Table of the raising map p_k -> p_{k+1} on monomials of degree <= n."""
-    if basic is None or len(basic) <= n + 1:
-        basic = basic_sequence(Q, n + 1, method="solve")
-    return OperatorMatrix(tuple(
+def dual_xhat(basic: tuple[Poly, ...]) -> tuple[Poly, ...]:
+    """Table of the raising map p_k -> p_{k+1} on x^0 ... x^{len(basic)-2}."""
+    return tuple(
         combine(basic[1:], to_basic_coords(basic[: j + 1], monomial(j)))
-        for j in range(n + 1)
-    ))
+        for j in range(len(basic) - 1)
+    )
 
 
 def expand_operator(
-    T: OperatorMatrix, Q: DeltaOperator, basic: tuple[Poly, ...] | None = None
+    T: tuple[Poly, ...], Q: DeltaOperator, basic: tuple[Poly, ...]
 ) -> list[Poly]:
     """Coefficient polynomials g_0 ... g_N with T = sum g_n(xhat_Q) Q^n.
 
-    The table T must not raise degree past its own size.  Processing images
-    of the basic sequence by increasing index makes the system triangular:
-    the index-m image pins down g_m once g_0 ... g_{m-1} are known.
+    The table T must not raise degree past its own size, and `basic` must
+    hold p_0 ... p_N.  Processing images of the basic sequence by
+    increasing index makes the system triangular: the index-m image pins
+    down g_m once g_0 ... g_{m-1} are known.
     """
-    N = T.dim - 1
-    if T.max_degree() > N:
+    N = len(T) - 1
+    if max((c.degree for c in T), default=-1) > N:
         raise ValueError("truncation exceeded")
+    _need(basic, N)
     psi = Q.psi
-    if basic is None or len(basic) <= N:
-        basic = basic_sequence(Q, N, method="solve")
-    images = [to_basic_coords(basic, T.apply(basic[m])) for m in range(N + 1)]
+    images = [to_basic_coords(basic, combine(T, basic[m].coeffs)) for m in range(N + 1)]
     coeff_rows: list[list[RationalFunction]] = []
     for m in range(N + 1):
         # the index-m pivot is falling(m, m) = m_psi!
@@ -76,18 +83,18 @@ def expand_operator(
 
 
 def reconstruct_operator(
-    coeff_polys: list[Poly],
-    Q: DeltaOperator,
-    dim: int,
-    basic: tuple[Poly, ...] | None = None,
-) -> OperatorMatrix:
-    """Assemble sum_n g_n(xhat_Q) Q^n as a table on monomials x^0..x^{dim-1}."""
-    N = dim - 1
+    coeff_polys: list[Poly], Q: DeltaOperator, basic: tuple[Poly, ...]
+) -> tuple[Poly, ...]:
+    """Assemble sum_n g_n(xhat_Q) Q^n as a table on x^0 ... x^{len(coeff_polys)-1}.
+
+    `basic` must reach past the table size by however far some g_n
+    raises degree beyond n (never, for a table that does not raise degree).
+    """
+    dim = len(coeff_polys)
     psi = Q.psi
     extra = max((g.degree - n for n, g in enumerate(coeff_polys) if g.coeffs), default=0)
-    M = N + max(extra, 0)
-    if basic is None or len(basic) <= M:
-        basic = basic_sequence(Q, M, method="solve")
+    M = dim - 1 + max(extra, 0)
+    _need(basic, M)
     cols = []
     for j in range(dim):
         a = to_basic_coords(basic[: j + 1], monomial(j))
@@ -104,7 +111,7 @@ def reconstruct_operator(
                     if ct:
                         out[m - n + t] = out[m - n + t] + base * ct
         cols.append(combine(basic, out))
-    return OperatorMatrix(tuple(cols))
+    return tuple(cols)
 
 
 def _mutator_scale(psi, polys: tuple[Poly, ...], p: Poly) -> Poly:
@@ -112,27 +119,23 @@ def _mutator_scale(psi, polys: tuple[Poly, ...], p: Poly) -> Poly:
     return combine(polys, [c and c * psi.mutator_eigenvalue(n) for n, c in enumerate(coords)])
 
 
-def qmutator_check(
-    Q: DeltaOperator, n_top: int, basic: tuple[Poly, ...] | None = None
-) -> list[Poly]:
+def qmutator_check(Q: DeltaOperator, basic: tuple[Poly, ...]) -> list[Poly]:
     """Residuals of the deformed bracket of (Q, xhat_Q) against the identity.
 
-    Returns Q xhat_Q p_n - qhat xhat_Q Q p_n - p_n for n < n_top; all are
-    zero when the bracket holds.  The qhat factor multiplies the index-n
-    component by ((n+1)_psi - 1)/n_psi; components on p_0 are always zero
-    here, so the undefined n = 0 eigenvalue is never evaluated.
+    Returns Q xhat_Q p_n - qhat xhat_Q Q p_n - p_n for n < len(basic) - 1;
+    all are zero when the bracket holds.  The qhat factor multiplies the
+    index-n component by ((n+1)_psi - 1)/n_psi; components on p_0 are
+    always zero here, so the undefined n = 0 eigenvalue is never evaluated.
     """
+    _need(basic, 1)
     psi = Q.psi
-    if basic is None or len(basic) <= n_top:
-        basic = basic_sequence(Q, n_top, method="solve")
-    raise_map = dual_xhat(Q, n_top - 1, basic=basic)
+    raise_map = dual_xhat(basic)
     residuals = []
-    for n in range(n_top):
-        p_n = basic[n]
-        first = Q.apply(raise_map.apply(p_n))
+    for p_n in basic[:-1]:
+        first = Q.apply(combine(raise_map, p_n.coeffs))
         lowered = Q.apply(p_n)
         second = (
-            _mutator_scale(psi, basic, raise_map.apply(lowered))
+            _mutator_scale(psi, basic, combine(raise_map, lowered.coeffs))
             if lowered.coeffs
             else Poly()
         )

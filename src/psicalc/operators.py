@@ -4,8 +4,9 @@ A series sum_k a_k D^k (D the psi-derivative) acts exactly on polynomials
 whose degree does not exceed the truncation order, since D lowers degree.
 Delta operators are the series with a_0 = 0, a_1 != 0; they factor as
 D * S with S invertible, which drives every construction downstream.
-Operator tables record the image of each monomial, and `combine` forms
-the linear combinations that applying a table or changing basis needs.
+An operator table is a plain tuple of polynomials whose entry j is the
+image of x^j (`table` builds one from a map); `combine` forms the linear
+combinations that applying a table or changing basis needs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ from .ratfun import ONE, ZERO, RationalFunction, rf
 
 
 def combine(polys: Sequence[Poly], coeffs: Sequence) -> Poly:
-    """sum_k coeffs[k] * polys[k] in one pass; zero coefficients are skipped."""
+    """sum_k coeffs[k] * polys[k] in one pass; zero coefficients are skipped.
+
+    Applying a table to p is combine(table, p.coeffs), so more coefficients
+    than polynomials means p lies outside the table's domain.
+    """
+    if len(coeffs) > len(polys):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(polys)} polynomials")
     out: list = []
     for p, c in zip(polys, coeffs):
         if not c:
@@ -230,59 +237,27 @@ SHEFFER_FACTORS: dict[str, Callable[..., OperatorSeries]] = {
 # -- operator tables on the monomial basis ----------------------------------
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Action of a linear operator recorded column-by-column on monomials.
-
-    Column j stores the image of x^j as a polynomial, so degree-raising
-    images stay exact instead of being clipped to a square array.
-    """
-
-    cols: tuple[Poly, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.cols)
-
-    @classmethod
-    def from_action(cls, fn: Callable[[Poly], Poly], dim: int) -> "OperatorMatrix":
-        return cls(tuple(fn(monomial(j)) for j in range(dim)))
-
-    def apply(self, p: Poly) -> Poly:
-        if p.degree >= self.dim:
-            raise ValueError(
-                f"operator table of size {self.dim} cannot act on degree {p.degree}"
-            )
-        return combine(self.cols, p.coeffs)
-
-    def max_degree(self) -> int:
-        return max((c.degree for c in self.cols), default=-1)
+def table(fn: Callable[[Poly], Poly], dim: int) -> tuple[Poly, ...]:
+    """Images of x^0 ... x^{dim-1} under fn, kept as polynomials so that
+    degree-raising images stay exact instead of being clipped to a square."""
+    return tuple(fn(monomial(j)) for j in range(dim))
 
 
-def series_matrix(s: OperatorSeries, dim: int) -> OperatorMatrix:
-    return OperatorMatrix.from_action(s.apply, dim)
-
-
-def pincherle_commutator_matrix(s: OperatorSeries, dim: int) -> OperatorMatrix:
+def pincherle_commutator_matrix(s: OperatorSeries, dim: int) -> tuple[Poly, ...]:
     """[T, xhat_psi] assembled column-by-column; the oracle route.
 
     Requires the series order to exceed dim, since the raising map bumps
     intermediate degrees by one.
     """
     psi = s.psi
-    cols = []
-    for j in range(dim):
-        xj = monomial(j)
-        c = s.apply(xhat_psi(psi, xj)) - xhat_psi(psi, s.apply(xj))
-        cols.append(c)
-    return OperatorMatrix(tuple(cols))
+    return table(lambda p: s.apply(xhat_psi(psi, p)) - xhat_psi(psi, s.apply(p)), dim)
 
 
-def scaling_matrix(factor: RationalFunction, dim: int) -> OperatorMatrix:
+def scaling_matrix(factor: RationalFunction, dim: int) -> tuple[Poly, ...]:
     """The dilation x^n -> factor^n x^n as an operator table."""
     cols = []
     power = ONE
     for j in range(dim):
         cols.append(monomial(j).scale(power))
         power = power * factor
-    return OperatorMatrix(tuple(cols))
+    return tuple(cols)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .poly import Poly
 from .ratfun import ONE, QSYM, ZERO, RationalFunction, rf
@@ -46,27 +46,24 @@ class PsiSequence:
         if n > self.n_max:
             raise ValueError(f"beyond truncation: n={n} > N_max={self.n_max}")
 
+    def _memo(self, key: tuple, compute: Callable[[], RationalFunction]) -> RationalFunction:
+        """The one memo path: look key up in _cache, computing it on a miss."""
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = compute()
+        return got
+
     def number(self, n: int) -> RationalFunction:
         """The deformed number n_psi; 0_psi = 0."""
         self._check(n)
         if n == 0:
             return ZERO
-        key = ("num", n)
-        got = self._cache.get(key)
-        if got is None:
-            got = self.values[n - 1] / self.values[n]
-            self._cache[key] = got
-        return got
+        return self._memo(("num", n), lambda: self.values[n - 1] / self.values[n])
 
     def factorial(self, n: int) -> RationalFunction:
         """The deformed factorial n_psi! = 1/psi_n; 0_psi! = 1."""
         self._check(n)
-        key = ("fact", n)
-        got = self._cache.get(key)
-        if got is None:
-            got = self.values[n].inverse()
-            self._cache[key] = got
-        return got
+        return self._memo(("fact", n), self.values[n].inverse)
 
     def falling(self, n: int, k: int) -> RationalFunction:
         """Falling product n_psi (n-1)_psi ... (n-k+1)_psi; zero when k > n."""
@@ -77,33 +74,19 @@ class PsiSequence:
             return ONE
         if k > n:
             return ZERO
-        key = ("fall", n, k)
-        got = self._cache.get(key)
-        if got is None:
-            got = self.values[n - k] / self.values[n]
-            self._cache[key] = got
-        return got
+        return self._memo(("fall", n, k), lambda: self.values[n - k] / self.values[n])
 
     def binomial(self, n: int, k: int) -> RationalFunction:
         """Deformed binomial coefficient; requires 0 <= k <= n."""
         self._check(n)
         if k < 0 or k > n:
             raise ValueError(f"binomial index out of range: k={k}, n={n}")
-        key = ("binom", n, k)
-        got = self._cache.get(key)
-        if got is None:
-            got = self.values[k] * self.values[n - k] / self.values[n]
-            self._cache[key] = got
-        return got
+        return self._memo(("binom", n, k),
+                          lambda: self.values[k] * self.values[n - k] / self.values[n])
 
     def mutator_eigenvalue(self, n: int) -> RationalFunction:
         """Deformed-bracket eigenvalue ((n+1)_psi - 1)/n_psi; requires n >= 1."""
-        key = ("mut", n)
-        got = self._cache.get(key)
-        if got is None:
-            got = (self.number(n + 1) - ONE) / self.number(n)
-            self._cache[key] = got
-        return got
+        return self._memo(("mut", n), lambda: (self.number(n + 1) - ONE) / self.number(n))
 
 
 def classic(n_max: int = DEFAULT_N_MAX) -> PsiSequence:

@@ -21,13 +21,12 @@ from .expansion import expand_operator, qmutator_check, reconstruct_operator
 from .operators import (
     DELTA_FAMILIES,
     SHEFFER_FACTORS,
-    OperatorMatrix,
     OperatorSeries,
     delta_by_name,
     laguerre_delta,
     pincherle_commutator_matrix,
     scaling_matrix,
-    series_matrix,
+    table,
 )
 from .poly import Poly
 from .psi import (
@@ -82,11 +81,13 @@ def _grid_psis(n_max: int = 16) -> list[PsiSequence]:
     return [by_name(name, n_max) for name in PSI_GRID]
 
 
-def _cells(order: int):
-    """Every (psi, delta name, Q) of the grid, Q truncated at the given order."""
+def _cells(n_top: int):
+    """Every (psi, delta name, Q, basic) of the grid: Q truncated at order
+    n_top + 1 and its basic sequence p_0 ... p_{n_top}, solved once here."""
     for psi in _grid_psis():
         for dname in DELTA_GRID:
-            yield psi, dname, delta_by_name(dname, psi, order)
+            Q = delta_by_name(dname, psi, n_top + 1)
+            yield psi, dname, Q, basic_sequence(Q, n_top, "solve")
 
 
 def _exact(suite: str, name: str, ok: bool, bad: str = "nonzero residual") -> CheckResult:
@@ -100,8 +101,7 @@ def _exact(suite: str, name: str, ok: bool, bad: str = "nonzero residual") -> Ch
 def suite_method_agreement(n_top: int = 10) -> list[CheckResult]:
     """All five basic-sequence constructions agree on the full grid."""
     out = []
-    for psi, dname, Q in _cells(n_top + 1):
-        ref = basic_sequence(Q, n_top, "solve")
+    for psi, dname, Q, ref in _cells(n_top):
         method = next((m for m in ("lagrange1", "lagrange2", "rodrigues3", "rodrigues4")
                        if basic_sequence(Q, n_top, m) != ref), None)
         out.append(CheckResult(
@@ -129,8 +129,7 @@ def suite_laguerre(n_top: int = 10) -> list[CheckResult]:
 def suite_binomial(n_top: int = 10) -> list[CheckResult]:
     """Translation identity for every grid basic sequence."""
     out = []
-    for psi, dname, Q in _cells(n_top + 1):
-        basic = basic_sequence(Q, n_top, "solve")
+    for psi, dname, Q, basic in _cells(n_top):
         res = binomial_residuals(psi, basic, basic, n_top)
         out.append(_exact("binomial", f"psi={psi.name} Q={dname} n<={n_top}", not any(res)))
     return out
@@ -139,8 +138,7 @@ def suite_binomial(n_top: int = 10) -> list[CheckResult]:
 def suite_sheffer(n_top: int = 8) -> list[CheckResult]:
     """Translation identity for Sheffer sequences over three scaling factors."""
     out = []
-    for psi, dname, Q in _cells(n_top + 1):
-        basic = basic_sequence(Q, n_top, "solve")
+    for psi, dname, Q, basic in _cells(n_top):
         for sname in SHEFFER_GRID:
             sh = sheffer_sequence(SHEFFER_FACTORS[sname](psi, n_top + 1), basic)
             res = binomial_residuals(psi, sh, basic, n_top)
@@ -159,26 +157,26 @@ def _random_rf(rng: random.Random) -> RationalFunction:
     return base + QSYM * rng.randint(-2, 2)
 
 
-def random_nonraising_table(rng: random.Random, dim: int) -> OperatorMatrix:
+def random_nonraising_table(rng: random.Random, dim: int) -> tuple[Poly, ...]:
     """A random operator table whose column degrees never exceed the index."""
-    return OperatorMatrix(tuple(Poly([_random_rf(rng) for _ in range(j + 1)])
-                                for j in range(dim)))
+    return tuple(Poly([_random_rf(rng) for _ in range(j + 1)]) for j in range(dim))
 
 
 def suite_expansion(count: int = 50, size: int = 8, seed: int = 20240811) -> list[CheckResult]:
     """Expansion/reconstruction roundtrips plus the dilation example."""
     rng = random.Random(seed)
-    grid = [(Q, basic_sequence(Q, size, "solve")) for _, _, Q in _cells(size + 1)]
+    grid = [(Q, basic) for _, _, Q, basic in _cells(size)]
     failures = 0
     for trial in range(count):
         Q, basic = grid[trial % len(grid)]
         T = random_nonraising_table(rng, size + 1)
-        gs = expand_operator(T, Q, basic=basic)
-        R = reconstruct_operator(gs, Q, size + 1, basic=basic)
-        failures += R.cols != T.cols or expand_operator(R, Q, basic=basic) != gs
+        gs = expand_operator(T, Q, basic)
+        R = reconstruct_operator(gs, Q, basic)
+        failures += R != T or expand_operator(R, Q, basic) != gs
     Q = delta_by_name("derivative", qgauss(), size + 1)
+    basic = basic_sequence(Q, size, "solve")
     T = scaling_matrix(QSYM, size + 1)
-    ok = reconstruct_operator(expand_operator(T, Q), Q, size + 1).cols == T.cols
+    ok = reconstruct_operator(expand_operator(T, Q, basic), Q, basic) == T
     return [
         _exact("expansion", f"{count} random roundtrips at N={size}", failures == 0,
                f"{failures} failures"),
@@ -190,8 +188,8 @@ def suite_qmutator(n_top: int = 10) -> list[CheckResult]:
     """Deformed bracket of (Q, xhat_Q) equals the identity on the grid."""
     out = [
         _exact("qmutator", f"psi={psi.name} Q={dname} n<{n_top}",
-               not any(qmutator_check(Q, n_top)))
-        for psi, dname, Q in _cells(n_top + 1)
+               not any(qmutator_check(Q, basic)))
+        for psi, dname, Q, basic in _cells(n_top)
     ]
     psi_q = qgauss()
     ok = all(
@@ -254,8 +252,8 @@ def suite_pincherle(count: int = 20, order: int = 8, max_degree: int = 10,
     for trial in range(count):
         coeffs = [_random_rf(rng) for _ in range(order + 1)]
         s = OperatorSeries(psis[trial % len(psis)], tuple(coeffs)).truncate(max_degree + 1)
-        direct = series_matrix(s.pincherle(), max_degree + 1)
-        failures += direct.cols != pincherle_commutator_matrix(s, max_degree + 1).cols
+        direct = table(s.pincherle().apply, max_degree + 1)
+        failures += direct != pincherle_commutator_matrix(s, max_degree + 1)
     return [_exact("pincherle", f"{count} random series, order {order}, degrees<={max_degree}",
                    failures == 0, f"{failures} failures")]
 

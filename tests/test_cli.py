@@ -84,6 +84,14 @@ def test_malformed_custom_psi_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "malformed psi file" in captured.err and "'nmae'" in captured.err
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'\xff\xfe["1"]')
+    for path in (deep, undecodable):
+        assert main(["table", "--psi", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "malformed psi file" in captured.err
 
 
 def test_custom_psi_file_accepted(tmp_path, capsys):

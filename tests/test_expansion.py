@@ -10,12 +10,12 @@ from psicalc.expansion import (
     to_basic_coords,
 )
 from psicalc.operators import (
-    OperatorMatrix,
     combine,
     delta_by_name,
     derivative_delta,
     laguerre_delta,
     scaling_matrix,
+    table,
 )
 from psicalc.poly import Poly
 from psicalc.psi import classic, fibonacci, monomial, psi_derivative, qgauss
@@ -34,30 +34,31 @@ def test_basic_coordinate_roundtrip():
 
 
 def test_dual_of_derivative_is_multiplication_by_x():
-    table = dual_xhat(derivative_delta(QG, 9), 6)
+    raising = dual_xhat(basic_sequence(derivative_delta(QG, 9), 7, "solve"))
+    assert len(raising) == 7
     for j in range(7):
-        assert table.cols[j] == monomial(j + 1)
+        assert raising[j] == monomial(j + 1)
 
 
 def test_dual_double_shift_and_laguerre_example():
     delta = laguerre_delta(QG, 10)
     seq = basic_sequence(delta, 8, "solve")
-    table = dual_xhat(delta, 6, basic=seq)
-    assert table.apply(table.apply(seq[0])) == seq[2]
-    assert table.apply(seq[1]) == q_laguerre_closed(QG, 2)
+    raising = dual_xhat(seq[:8])
+    assert combine(raising, combine(raising, seq[0].coeffs).coeffs) == seq[2]
+    assert combine(raising, seq[1].coeffs) == q_laguerre_closed(QG, 2)
 
 
 def test_identity_expansion():
     delta = laguerre_delta(QG, 8)
-    table = OperatorMatrix.from_action(lambda p: p, 7)
-    coeffs = expand_operator(table, delta)
+    coeffs = expand_operator(table(lambda p: p, 7), delta, basic_sequence(delta, 6, "solve"))
     assert coeffs[0] == Poly((ONE,))
     assert all(g.is_zero() for g in coeffs[1:])
 
 
 def test_number_operator_expansion():
-    table = OperatorMatrix.from_action(lambda p: psi_derivative(QG, p).shifted(1), 7)
-    coeffs = expand_operator(table, derivative_delta(QG, 8))
+    number = table(lambda p: psi_derivative(QG, p).shifted(1), 7)
+    delta = derivative_delta(QG, 8)
+    coeffs = expand_operator(number, delta, basic_sequence(delta, 6, "solve"))
     assert coeffs[0].is_zero()
     assert coeffs[1] == monomial(1)
     assert all(g.is_zero() for g in coeffs[2:])
@@ -65,18 +66,19 @@ def test_number_operator_expansion():
 
 def test_dilation_expansion_and_reconstruction():
     delta = derivative_delta(QG, 8)
-    table = scaling_matrix(QSYM, 7)
-    coeffs = expand_operator(table, delta)
+    basic = basic_sequence(delta, 6, "solve")
+    dilation = scaling_matrix(QSYM, 7)
+    coeffs = expand_operator(dilation, delta, basic)
     assert coeffs[0] == Poly((ONE,))
     assert coeffs[1] == Poly((ZERO, QSYM - 1))
-    assert reconstruct_operator(coeffs, delta, 7).cols == table.cols
+    assert reconstruct_operator(coeffs, delta, basic) == dilation
 
 
 def _random_table(rng, dim):
     def scalar():
         return rf(rng.randint(-3, 3)) + QSYM * rng.randint(-1, 1)
 
-    return OperatorMatrix(tuple(Poly([scalar() for _ in range(j + 1)]) for j in range(dim)))
+    return tuple(Poly([scalar() for _ in range(j + 1)]) for j in range(dim))
 
 
 def test_random_roundtrips_and_uniqueness():
@@ -84,17 +86,35 @@ def test_random_roundtrips_and_uniqueness():
     delta = laguerre_delta(QG, 9)
     basic = basic_sequence(delta, 8, "solve")
     for _ in range(8):
-        table = _random_table(rng, 9)
-        coeffs = expand_operator(table, delta, basic=basic)
-        rebuilt = reconstruct_operator(coeffs, delta, 9, basic=basic)
-        assert rebuilt.cols == table.cols
-        assert expand_operator(rebuilt, delta, basic=basic) == coeffs
+        T = _random_table(rng, 9)
+        coeffs = expand_operator(T, delta, basic)
+        rebuilt = reconstruct_operator(coeffs, delta, basic)
+        assert rebuilt == T
+        assert expand_operator(rebuilt, delta, basic) == coeffs
 
 
 def test_truncation_exceeded():
-    raising = OperatorMatrix.from_action(lambda p: p.shifted(1), 4)
+    raising = table(lambda p: p.shifted(1), 4)
+    delta = laguerre_delta(QG, 6)
     with pytest.raises(ValueError, match="truncation exceeded"):
-        expand_operator(raising, laguerre_delta(QG, 6))
+        expand_operator(raising, delta, basic_sequence(delta, 5, "solve"))
+
+
+def test_short_basic_sequence_is_an_error():
+    delta = laguerre_delta(QG, 8)
+    basic = basic_sequence(delta, 7, "solve")
+    T = _random_table(random.Random(5), 8)
+    coeffs = expand_operator(T, delta, basic)
+    with pytest.raises(ValueError, match="too short"):
+        expand_operator(T, delta, basic[:7])
+    with pytest.raises(ValueError, match="too short"):
+        reconstruct_operator(coeffs, delta, basic[:7])
+    # g_0 = x^3 raises degree by three, so reconstruction needs p_0 ... p_10
+    with pytest.raises(ValueError, match="too short"):
+        reconstruct_operator([monomial(3)] + coeffs[1:], delta, basic)
+    for short in (basic[:1], ()):
+        with pytest.raises(ValueError, match="too short"):
+            qmutator_check(delta, short)
 
 
 def test_mutator_eigenvalue_values():
@@ -105,7 +125,9 @@ def test_mutator_eigenvalue_values():
 def test_qmutator_identity_across_grid():
     for psi in (CL, QG, fibonacci()):
         for name in ("derivative", "laguerre", "quadratic", "shifted"):
-            res = qmutator_check(delta_by_name(name, psi, 9), 7)
+            delta = delta_by_name(name, psi, 9)
+            res = qmutator_check(delta, basic_sequence(delta, 7, "solve"))
+            assert len(res) == 7
             assert not any(res), (psi.name, name, [str(r.coeffs) for r in res])
 
 
