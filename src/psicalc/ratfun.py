@@ -10,6 +10,7 @@ all arithmetic runs on Python ints; a ``Fraction`` appears only at the edge
 equality is syntactic.  Polynomial gcds use the heuristic gcd GCDHEU (Char,
 Geddes and Gonnet, J. Symbolic Comput. 8 (1989) 31-48), which also returns
 the cofactors, so cancelling a common factor needs no second division.
+``parse_ratfun`` reads the text form back in one left-to-right pass.
 """
 
 from __future__ import annotations
@@ -24,11 +25,6 @@ _I1 = (1,)
 
 # largest exponent parse_ratfun accepts in q^N; built-in tables stay far below
 MAX_PARSED_DEGREE = 10_000
-
-
-def fpoly(coeffs) -> Poly:
-    """Fraction-coefficient polynomial in q from ints/Fractions."""
-    return Poly([Fraction(c) for c in coeffs])
 
 
 # -- integer polynomials: nonzero ascending coefficient tuples ---------------
@@ -378,60 +374,42 @@ def _int_poly_str(cs: list[int]) -> str:
     return "".join(parts) if parts else "0"
 
 
-_TOKEN = re.compile(r"\s*(\(|\)|\+|-|\*|/|\^|q|\d+)")
+# one signed term: [+|-] N, [+|-] [N[*]]q[^K]; blanks may precede each token
+# but not end the text.  Each optional sign or '*' carries its own blank run:
+# two \s* runs that can touch would backtrack quadratically on a failed match.
+_TERM = re.compile(r"\s*(?:([+-])\s*)?(?:(\d+)|(?=q))(?:(?:\s*\*)?\s*(q)(?:\s*\^\s*(\d+))?)?")
+_MARK = re.compile(r"\s*([()/])")
 
 
-def _tokenize(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"cannot parse rational function near {text[pos:pos + 8]!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+def _side(text: str, pos: int) -> tuple[Poly, bool, int]:
+    """Read one polynomial at text[pos:], bare or in one pair of parentheses.
 
-
-def _parse_int_poly(tokens: list[str]) -> Poly:
-    """Parse [sign] term {(+|-) term}, a term being N, N*q^K, Nq^K or q^K."""
+    Returns the polynomial, whether it was a bare run of more than one term,
+    and the end position.  Every term after the first needs a sign.
+    """
+    mark = _MARK.match(text, pos)
+    paren = mark is not None and mark[1] == "("
+    if paren:
+        pos = mark.end()
     coeffs: dict[int, int] = {}
-    i = 0
-    n = len(tokens)
-    while True:
-        sign = 1
-        if i < n and tokens[i] in ("+", "-"):
-            sign = -1 if tokens[i] == "-" else 1
-            i += 1
-        t = tokens[i] if i < n else "end of input"
-        if not t.isdigit() and t != "q":
-            raise ValueError(f"expected a term, got {t!r}")
-        mag = 1
-        power = 0
-        if t.isdigit():
-            mag = int(t)
-            i += 1
-            if i < n and tokens[i] == "*":
-                i += 1
-                if i == n or tokens[i] != "q":
-                    raise ValueError("expected 'q' after '*'")
-        if i < n and tokens[i] == "q":
-            power = 1
-            i += 1
-            if i < n and tokens[i] == "^":
-                if i + 1 >= n or not tokens[i + 1].isdigit():
-                    raise ValueError("missing exponent after '^'")
-                power = int(tokens[i + 1])
-                if power > MAX_PARSED_DEGREE:
-                    raise ValueError(f"exponent {power} exceeds {MAX_PARSED_DEGREE}")
-                i += 2
-        coeffs[power] = coeffs.get(power, 0) + sign * mag
-        if i == n:
-            break
-        if tokens[i] not in ("+", "-"):
-            raise ValueError(f"unexpected token {tokens[i]!r} after a term")
-    top = max(coeffs)
-    return Poly([coeffs.get(k, 0) for k in range(top + 1)])
+    terms = 0
+    while (t := _TERM.match(text, pos)) and (t[1] or not terms):
+        sign, mag, q, power = t.groups()
+        power = int(power or 1) if q else 0
+        if power > MAX_PARSED_DEGREE:
+            raise ValueError(f"exponent {power} exceeds {MAX_PARSED_DEGREE} "
+                             f"near {text[pos:pos + 8]!r}")
+        coeffs[power] = coeffs.get(power, 0) + (-1 if sign == "-" else 1) * int(mag or 1)
+        terms += 1
+        pos = t.end()
+    if not terms:
+        raise ValueError(f"expected a term near {text[pos:pos + 8]!r}")
+    if paren:
+        mark = _MARK.match(text, pos)
+        if mark is None or mark[1] != ")":
+            raise ValueError(f"expected ')' near {text[pos:pos + 8]!r}")
+        pos = mark.end()
+    return Poly([coeffs.get(k, 0) for k in range(max(coeffs) + 1)]), not paren and terms > 1, pos
 
 
 def parse_ratfun(text: str) -> RationalFunction:
@@ -439,44 +417,18 @@ def parse_ratfun(text: str) -> RationalFunction:
 
     Accepts e.g. "1+q+q^2", "-q", "3", "1/2", "(1-q^3)/(1-q)".  A side of
     '/' with more than one term must be parenthesised: "1+q/2" is rejected,
-    not read as "(1+q)/(2)".
+    not read as "(1+q)/(2)".  Each side takes at most one pair of
+    parentheses.
     """
-    tokens = _tokenize(text)
-    depth = 0
-    split = None
-    for i, t in enumerate(tokens):
-        if t == "(":
-            depth += 1
-        elif t == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced parentheses")
-        elif t == "/" and depth == 0:
-            if split is not None:
-                raise ValueError("more than one top-level '/'")
-            split = i
-    if depth != 0:
-        raise ValueError("unbalanced parentheses")
-
-    def strip(ts: list[str]) -> list[str]:
-        if len(ts) >= 2 and ts[0] == "(" and ts[-1] == ")":
-            inner_depth = 0
-            for t in ts[:-1]:
-                if t == "(":
-                    inner_depth += 1
-                elif t == ")":
-                    inner_depth -= 1
-                    if inner_depth == 0:
-                        return ts
-            return ts[1:-1]
-        return ts
-
-    def side(ts: list[str]) -> Poly:
-        inner = strip(ts)
-        if inner is ts and any(t in ("+", "-") for t in ts[1:]):
-            raise ValueError("a side of '/' with more than one term needs parentheses")
-        return _parse_int_poly(inner)
-
-    if split is None:
-        return RationalFunction(_parse_int_poly(strip(tokens)))
-    return RationalFunction(side(tokens[:split]), side(tokens[split + 1:]))
+    num, bare, pos = _side(text, 0)
+    den = 1
+    mark = _MARK.match(text, pos)
+    if mark is not None and mark[1] == "/":
+        den, bare_den, end = _side(text, mark.end())
+        if bare or bare_den:
+            raise ValueError("a side of '/' with more than one term needs parentheses "
+                             f"near {text[pos:pos + 8]!r}")
+        pos = end
+    if pos < len(text):
+        raise ValueError(f"cannot parse rational function near {text[pos:pos + 8]!r}")
+    return RationalFunction(num, den)

@@ -80,8 +80,9 @@ def su2_build(j, q: complex | None = None) -> SpinRep:
             jminus[i + 1, i] = np.sqrt(
                 bracket(float(jf + m_top)) * bracket(float(jf - m_top + 1))
             )
-    except OverflowError:
-        # the largest bracket argument here, 2j, is also the largest the checks use
+    except (OverflowError, ZeroDivisionError):
+        # q^x overflows, or q^-x divides by a q^x that underflowed to 0; the
+        # largest bracket argument here, 2j, is also the largest the checks use
         raise ValueError(f"q = {q} overflows the deformed bracket at j = {jf}") from None
     return SpinRep(j2, q, j3, jplus, jminus)
 

@@ -172,6 +172,15 @@ def test_bad_input_exits_2_with_empty_stdout(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("q", ["1e200", "1e-300"])
+def test_spin_bracket_overflow_is_a_usage_error(capsys, q):
+    # q^2 overflows at 1e200 and underflows to 0 at 1e-300
+    assert main(["spin", "--j", "1", "--q", q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflows the deformed bracket at j = 1" in captured.err
+
+
 def test_usage_error_exit_code():
     assert main(["bogus-command"]) == 2
     assert main([]) == 2

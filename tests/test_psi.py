@@ -20,7 +20,7 @@ from psicalc.psi import (
     bivariate_eval_y0,
     xhat_psi,
 )
-from psicalc.ratfun import ONE, QSYM, ZERO, RationalFunction, fpoly, parse_ratfun, rf
+from psicalc.ratfun import ONE, QSYM, ZERO, RationalFunction, parse_ratfun, rf
 
 ALL = [classic(), qgauss(), fibonacci(), square()]
 
@@ -57,9 +57,9 @@ def test_binomials():
         assert psi.binomial(7, 7) == ONE
     assert cl.binomial(5, 2) == 10
     # oracle: expand 4_q!/(2_q! 2_q!) with raw polynomial arithmetic
-    two_q = fpoly([1, 1])
-    three_q = fpoly([1, 1, 1])
-    four_q = fpoly([1, 1, 1, 1])
+    two_q = Poly([1, 1])
+    three_q = Poly([1, 1, 1])
+    four_q = Poly([1, 1, 1, 1])
     oracle = RationalFunction(two_q * three_q * four_q, two_q * two_q)
     assert qg.binomial(4, 2) == oracle
     assert qg.binomial(4, 2) == parse_ratfun("1+q+2q^2+q^3+q^4")

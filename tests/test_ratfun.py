@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ from psicalc.ratfun import (
     _gcd_poly,
     _mul,
     _primitive,
-    fpoly,
     parse_ratfun,
     rf,
 )
@@ -30,7 +30,7 @@ def ratfuns(draw):
     num = draw(st.lists(ints, min_size=1, max_size=4))
     den = draw(st.lists(ints, min_size=1, max_size=3))
     assume(any(den))
-    return RationalFunction(fpoly(num), fpoly(den))
+    return RationalFunction(Poly(num), Poly(den))
 
 
 def test_cancellation_to_constant():
@@ -38,7 +38,7 @@ def test_cancellation_to_constant():
 
 
 def test_factor_cancellation():
-    v = RationalFunction(fpoly([1, 0, -1]), fpoly([1, -1]))
+    v = RationalFunction(Poly([1, 0, -1]), Poly([1, -1]))
     assert v == ONE + QSYM
     assert v.render() == "1+q"
 
@@ -47,17 +47,17 @@ def test_zero_divisor():
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
         ONE / ZERO
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
-        RationalFunction(fpoly([1]), fpoly([0]))
+        RationalFunction(Poly([1]), Poly([0]))
 
 
 def test_canonical_form_is_monic_and_reduced():
-    v = RationalFunction(fpoly([0, 2]), fpoly([2, -2]))  # 2q / (2 - 2q)
+    v = RationalFunction(Poly([0, 2]), Poly([2, -2]))  # 2q / (2 - 2q)
     assert v.den.coeffs[-1] == 1
     assert v == QSYM / (ONE - QSYM)
 
 
 def test_equality_independent_of_representation():
-    a = RationalFunction(fpoly([0, 1, 1]), fpoly([1, 1]))  # q(1+q)/(1+q)
+    a = RationalFunction(Poly([0, 1, 1]), Poly([1, 1]))  # q(1+q)/(1+q)
     assert a == QSYM
 
 
@@ -76,10 +76,29 @@ def test_render_ascending_and_parse_roundtrip():
         assert parse_ratfun(w.render()) == w
 
 
+def test_parse_accepts_blanks_signs_and_one_pair_of_parentheses():
+    for text, value in (("1 + 2 * q ^ 3", 1 + 2 * QSYM ** 3), (" 1", ONE), ("+q", QSYM),
+                        ("- 1", -ONE), ("2 q", 2 * QSYM), ("q^0", ONE), ("0q", ZERO),
+                        ("1/-2", Fraction(-1, 2)), ("(1+q) / (1-q)", (1 + QSYM) / (1 - QSYM))):
+        assert parse_ratfun(text) == value, text
+
+
 def test_parse_rejects_garbage():
-    for bad in ("", "q^", "1+#", "(1", "1/2/3"):
+    for bad in ("", "q^", "1+#", "(1", "1/2/3", "1 ",
+                "-(1+q)", "((1))", "(1)+(2)", "(1/2)"):
         with pytest.raises(ValueError):
             parse_ratfun(bad)
+    with pytest.raises(ZeroDivisionError):
+        parse_ratfun("1/0")
+
+
+def test_parse_rejects_long_blank_runs_in_linear_time():
+    # a pattern with two touching blank runs backtracks quadratically here
+    for bad in (" " * 100_000 + "#", "2" + " " * 100_000 + "*" + " " * 100_000 + "#"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            parse_ratfun(bad)
+        assert time.perf_counter() - start < 2
 
 
 def test_parse_rejects_juxtaposition_and_huge_exponents():
@@ -145,9 +164,9 @@ def big_values(draw):
         return draw(st.lists(big, min_size=size, max_size=size))
 
     scale = draw(st.fractions(max_denominator=2 ** 20).filter(bool))
-    num = fpoly([scale * c for c in coeffs()])
-    den = fpoly(coeffs())
-    common = fpoly(draw(st.lists(ints, min_size=1, max_size=4)))
+    num = Poly([scale * c for c in coeffs()])
+    den = Poly(coeffs())
+    common = Poly(draw(st.lists(ints, min_size=1, max_size=4)))
     assume(den and common)
     return RationalFunction(num * common, den * common), num, den
 
@@ -283,7 +302,7 @@ def test_large_products_parse_back():
     rng = random.Random(60)
 
     def factor():
-        return fpoly([rng.randint(-2 ** 64, 2 ** 64) for _ in range(30)] + [1])
+        return Poly([rng.randint(-2 ** 64, 2 ** 64) for _ in range(30)] + [1])
 
     for _ in range(6):
         v = RationalFunction(factor() * factor(), factor() * factor())
