@@ -3,7 +3,9 @@
 Exact commands render scalars in the canonical string form, so repeated
 invocations are byte-identical.  Exit codes: 0 for success (including a
 WITNESS verdict, which is the expected outcome of the no-go check), 1 for
-a verification failure, 2 for usage errors.
+a verification failure, 2 for usage errors, and 141 (128 + SIGPIPE, what a
+shell reports for a tool the signal ends) when the reader closes stdout
+before the output is written, as `psicalc ... | head -n 1` does.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -37,6 +40,7 @@ from .verify import SUITES, run_suites
 from .weyl import NumericCheck, weyl_build, weyl_check
 
 USAGE_ERROR = 2
+CLOSED_STDOUT = 141
 
 # --op choices: operator tables on x^0..x^{dim-1} that `expand` expands
 OPERATORS = {
@@ -53,9 +57,9 @@ def emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
-def _load_psi(name: str, n_max: int) -> PsiSequence:
+def _load_psi(name: str) -> PsiSequence:
     if name in BUILTIN_PSIS:
-        return by_name(name, n_max)
+        return by_name(name)
     if name.endswith(".json"):
         try:
             with open(name, "r", encoding="utf-8") as fh:
@@ -108,7 +112,7 @@ def _emit_rows(fmt: str, header: list[str], rows: list[list[str]], payload: dict
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    psi = _load_psi(args.psi, max(args.N, 1))
+    psi = _load_psi(args.psi)
     rows = []
     for n in range(args.N + 1):
         rows.append([str(n), psi.number(n).render(), psi.factorial(n).render()])
@@ -139,7 +143,7 @@ def _emit_polys(fmt: str, payload: dict, polys) -> None:
 
 
 def cmd_basic(args: argparse.Namespace) -> int:
-    psi = _load_psi(args.psi, max(args.N + 2, 16))
+    psi = _load_psi(args.psi)
     delta = delta_by_name(args.Q, psi, args.N + 1)
     polys = basic_sequence(delta, args.N, method="solve")
     _emit_polys(args.format, _sequence_payload(psi, delta, polys), polys)
@@ -149,7 +153,7 @@ def cmd_basic(args: argparse.Namespace) -> int:
 def cmd_sheffer(args: argparse.Namespace) -> int:
     if args.alpha is not None and args.S != "laguerre_order":
         raise ValueError("--alpha applies only to --S laguerre_order")
-    psi = _load_psi(args.psi, max(args.N + 2, 16))
+    psi = _load_psi(args.psi)
     delta = delta_by_name(args.Q, psi, args.N + 1)
     factor = SHEFFER_FACTORS[args.S](psi, args.N + 1, args.alpha or Fraction(0))
     polys = sheffer_sequence(factor, basic_sequence(delta, args.N, method="solve"))
@@ -160,7 +164,7 @@ def cmd_sheffer(args: argparse.Namespace) -> int:
 
 
 def cmd_laguerre(args: argparse.Namespace) -> int:
-    psi = qgauss(max(args.n + 2, 16))
+    psi = qgauss()
     delta = laguerre_delta(psi, args.n + 1)
     polys = [q_laguerre_closed(psi, k) for k in range(args.n + 1)]
     _emit_polys(args.format, _sequence_payload(psi, delta, polys), polys)
@@ -168,7 +172,7 @@ def cmd_laguerre(args: argparse.Namespace) -> int:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    psi = _load_psi(args.psi, max(args.N + 2, 16))
+    psi = _load_psi(args.psi)
     delta = delta_by_name(args.Q, psi, args.N + 1)
     op = OPERATORS[args.op](psi, args.N + 1)
     basic = basic_sequence(delta, args.N, method="solve")
@@ -200,7 +204,7 @@ def _bivar_table(p: Poly) -> list[list[str]]:
 
 
 def cmd_nogo(args: argparse.Namespace) -> int:
-    psi = _load_psi(args.psi, max(args.n + 2, 16))
+    psi = _load_psi(args.psi)
     result = plane_mod.binomial_nogo(psi, args.n)
     payload = {
         "psi": psi.name,
@@ -383,16 +387,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    try:
-        return COMMANDS[args.command](args)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        try:
+            args = build_parser().parse_args(argv)
+            code = COMMANDS[args.command](args)
+        except SystemExit as exc:  # argparse has printed the help or the usage error
+            code = USAGE_ERROR if exc.code not in (0, None) else 0
+        except (ValueError, ZeroDivisionError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = USAGE_ERROR
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit cannot raise again
+        # (the pattern from the notes on SIGPIPE in Python's `signal` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
 
 
 if __name__ == "__main__":

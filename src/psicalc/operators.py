@@ -53,7 +53,7 @@ class OperatorSeries:
         return len(self.coeffs) - 1
 
     def _same(self, other: "OperatorSeries") -> None:
-        if self.psi is not other.psi and self.psi != other.psi:
+        if self.psi is not other.psi:
             raise ValueError("operator series over different psi sequences")
 
     def __mul__(self, other: "OperatorSeries") -> "OperatorSeries":
@@ -175,7 +175,7 @@ def exp_series(psi: PsiSequence, shift, order: int) -> OperatorSeries:
     coeffs = []
     power = ONE
     for k in range(order + 1):
-        coeffs.append(power * psi.values[k] if k <= psi.n_max else ZERO)
+        coeffs.append(power * psi.value(k))
         power = power * s
     return OperatorSeries(psi, tuple(coeffs))
 
@@ -189,10 +189,8 @@ def shifted_delta(psi: PsiSequence, order: int, shift=1) -> DeltaOperator:
 def exp_sq_series(psi: PsiSequence, order: int) -> OperatorSeries:
     """The series sum_k psi_k D^{2k} (deformed exponential of D^2)."""
     coeffs = [ZERO] * (order + 1)
-    k = 0
-    while 2 * k <= order and k <= psi.n_max:
-        coeffs[2 * k] = psi.values[k]
-        k += 1
+    for k in range(order // 2 + 1):
+        coeffs[2 * k] = psi.value(k)
     return OperatorSeries(psi, tuple(coeffs))
 
 

@@ -23,8 +23,6 @@ B0_CONVENTION = (
 
 def b_sequence(psi: PsiSequence, count: int) -> list[RationalFunction]:
     """Eigenvalues b_0..b_count, b_n = prod_{k<=n} ((k+1)_psi - 1)/k_psi."""
-    if count + 1 > psi.n_max:
-        raise ValueError(f"beyond truncation: need index {count + 1} > N_max={psi.n_max}")
     out = [ONE]
     for k in range(1, count + 1):
         out.append(out[-1] * psi.mutator_eigenvalue(k))

@@ -1,14 +1,14 @@
 """Deformed number sequences and the operators they induce on polynomials.
 
 A psi-sequence is a table psi_0 = 1, psi_1, psi_2, ... of nonzero exact
-scalars.  It generates deformed numbers n_psi = psi_{n-1}/psi_n, factorials
+scalars; a built-in one is fixed by its deformed numbers n_psi and grows
+on demand.  It generates deformed numbers n_psi = psi_{n-1}/psi_n, factorials
 n_psi! = 1/psi_n, binomials, the lowering derivative (x^n -> n_psi x^{n-1}),
 the deformed raising map, and the two-variable translation operator.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -16,35 +16,44 @@ from typing import Callable, Sequence
 from .poly import Poly
 from .ratfun import ONE, QSYM, ZERO, RationalFunction, rf
 
-DEFAULT_N_MAX = 16
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsiSequence:
-    """Immutable table of psi values with memoized derived numbers."""
+    """A psi table with memoized derived numbers; equal only to itself.
+
+    A built-in table carries its rule n -> n_psi and computes
+    psi_n = psi_{n-1}/n_psi the first time psi_n is read, so it reaches as
+    far as any caller asks.  A custom table (no rule) is the finite list it
+    was given, and reading past its end is the one "beyond truncation"
+    error.
+    """
 
     name: str
-    values: tuple[RationalFunction, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _values: list[RationalFunction] = field(repr=False)  # psi_0, psi_1, ...; a rule appends
+    rule: Callable[[int], RationalFunction] | None = field(default=None, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if not self.values:
+        if not self._values:
             raise ValueError("psi table must not be empty")
-        if self.values[0] != ONE:
+        if self._values[0] != ONE:
             raise ValueError("psi_0 must be 1")
-        for n, v in enumerate(self.values):
+        for n, v in enumerate(self._values):
             if not v:
                 raise ValueError(f"psi_{n} must be nonzero")
 
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
-    def _check(self, n: int) -> None:
+    def value(self, n: int) -> RationalFunction:
+        """psi_n, grown from the rule on a built-in table's first read."""
+        vals = self._values
+        if 0 <= n < len(vals):
+            return vals[n]
         if n < 0:
             raise ValueError("negative index")
-        if n > self.n_max:
-            raise ValueError(f"beyond truncation: n={n} > N_max={self.n_max}")
+        if self.rule is None:
+            raise ValueError(f"beyond truncation: n={n} > N_max={len(vals) - 1}")
+        while len(vals) <= n:
+            vals.append(vals[-1] / self.rule(len(vals)))
+        return vals[n]
 
     def _memo(self, key: tuple, compute: Callable[[], RationalFunction]) -> RationalFunction:
         """The one memo path: look key up in _cache, computing it on a miss."""
@@ -55,93 +64,88 @@ class PsiSequence:
 
     def number(self, n: int) -> RationalFunction:
         """The deformed number n_psi; 0_psi = 0."""
-        self._check(n)
+        top = self.value(n)
         if n == 0:
             return ZERO
-        return self._memo(("num", n), lambda: self.values[n - 1] / self.values[n])
+        return self._memo(("num", n), lambda: self.value(n - 1) / top)
 
     def factorial(self, n: int) -> RationalFunction:
         """The deformed factorial n_psi! = 1/psi_n; 0_psi! = 1."""
-        self._check(n)
-        return self._memo(("fact", n), self.values[n].inverse)
+        return self._memo(("fact", n), self.value(n).inverse)
 
     def falling(self, n: int, k: int) -> RationalFunction:
         """Falling product n_psi (n-1)_psi ... (n-k+1)_psi; zero when k > n."""
         if k < 0:
             raise ValueError("negative falling length")
-        self._check(n)
+        top = self.value(n)
         if k == 0:
             return ONE
         if k > n:
             return ZERO
-        return self._memo(("fall", n, k), lambda: self.values[n - k] / self.values[n])
+        return self._memo(("fall", n, k), lambda: self.value(n - k) / top)
 
     def binomial(self, n: int, k: int) -> RationalFunction:
         """Deformed binomial coefficient; requires 0 <= k <= n."""
-        self._check(n)
+        top = self.value(n)
         if k < 0 or k > n:
             raise ValueError(f"binomial index out of range: k={k}, n={n}")
         return self._memo(("binom", n, k),
-                          lambda: self.values[k] * self.values[n - k] / self.values[n])
+                          lambda: self.value(k) * self.value(n - k) / top)
 
     def mutator_eigenvalue(self, n: int) -> RationalFunction:
         """Deformed-bracket eigenvalue ((n+1)_psi - 1)/n_psi; requires n >= 1."""
         return self._memo(("mut", n), lambda: (self.number(n + 1) - ONE) / self.number(n))
 
 
-def classic(n_max: int = DEFAULT_N_MAX) -> PsiSequence:
-    """psi_n = 1/n!, so n_psi = n and all operators are the undeformed ones."""
-    vals = [rf(Fraction(1, math.factorial(n))) for n in range(n_max + 1)]
-    return PsiSequence("classic", tuple(vals))
+def _fibonacci(n: int) -> RationalFunction:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return rf(a)
 
 
-def qgauss(n_max: int = DEFAULT_N_MAX) -> PsiSequence:
-    """psi_n = 1/(1_q 2_q ... n_q) with k_q = 1 + q + ... + q^{k-1}."""
-    vals = [ONE]
-    for k in range(1, n_max + 1):
-        vals.append(vals[-1] / RationalFunction(Poly([1] * k)))
-    return PsiSequence("qgauss", tuple(vals))
-
-
-def fibonacci(n_max: int = DEFAULT_N_MAX) -> PsiSequence:
-    """psi_n = 1/(F_1 F_2 ... F_n) over the Fibonacci numbers 1, 1, 2, 3, ..."""
-    fibs = [1, 1]
-    while len(fibs) < n_max + 1:
-        fibs.append(fibs[-1] + fibs[-2])
-    vals = [ONE]
-    prod = 1
-    for n in range(1, n_max + 1):
-        prod *= fibs[n - 1]
-        vals.append(rf(Fraction(1, prod)))
-    return PsiSequence("fibonacci", tuple(vals))
-
-
-def square(n_max: int = DEFAULT_N_MAX) -> PsiSequence:
-    """psi_n = 1/(n!)^2, so n_psi = n^2."""
-    vals = [rf(Fraction(1, math.factorial(n) ** 2)) for n in range(n_max + 1)]
-    return PsiSequence("square", tuple(vals))
-
-
-def custom(name: str, values: Sequence[RationalFunction]) -> PsiSequence:
-    """User-supplied psi table; validated eagerly."""
-    return PsiSequence(name, tuple(values))
-
-
-BUILTIN_PSIS = {
-    "classic": classic,
-    "qgauss": qgauss,
-    "fibonacci": fibonacci,
-    "square": square,
+# n -> n_psi for each built-in table
+BUILTIN_PSIS: dict[str, Callable[[int], RationalFunction]] = {
+    "classic": rf,                                        # n, so psi_n = 1/n!
+    "qgauss": lambda n: RationalFunction(Poly([1] * n)),  # [n]_q = 1 + q + ... + q^{n-1}
+    "fibonacci": _fibonacci,                              # F_n over 1, 1, 2, 3, 5, ...
+    "square": lambda n: rf(n * n),                        # n^2, so psi_n = 1/(n!)^2
 }
 
 
-def by_name(name: str, n_max: int = DEFAULT_N_MAX) -> PsiSequence:
+def by_name(name: str) -> PsiSequence:
+    """The built-in table called name, grown on demand from its n_psi rule."""
     try:
-        factory = BUILTIN_PSIS[name]
+        rule = BUILTIN_PSIS[name]
     except KeyError:
         known = ", ".join(sorted(BUILTIN_PSIS))
         raise ValueError(f"unknown psi sequence {name!r}; built-ins: {known}") from None
-    return factory(n_max)
+    return PsiSequence(name, [ONE], rule)
+
+
+def classic() -> PsiSequence:
+    """n_psi = n: all operators are the undeformed ones."""
+    return by_name("classic")
+
+
+def qgauss() -> PsiSequence:
+    """n_psi = [n]_q, the Gauss q-numbers."""
+    return by_name("qgauss")
+
+
+def fibonacci() -> PsiSequence:
+    """n_psi = F_n, the Fibonacci numbers."""
+    return by_name("fibonacci")
+
+
+def square() -> PsiSequence:
+    """n_psi = n^2."""
+    return by_name("square")
+
+
+def custom(name: str, values: Sequence[RationalFunction]) -> PsiSequence:
+    """User-supplied finite psi table; validated eagerly."""
+    return PsiSequence(name, list(values))
 
 
 # -- polynomial space helpers ----------------------------------------------
@@ -158,8 +162,6 @@ def one_poly() -> Poly:
 
 def psi_derivative(psi: PsiSequence, p: Poly) -> Poly:
     """Linear extension of x^n -> n_psi x^{n-1}."""
-    if p.degree > psi.n_max:
-        raise ValueError(f"beyond truncation: degree {p.degree} > N_max={psi.n_max}")
     out = []
     for n in range(1, len(p.coeffs)):
         c = p.coeffs[n]
@@ -171,10 +173,6 @@ def xhat_psi(psi: PsiSequence, p: Poly) -> Poly:
     """Deformed raising map, x^n -> ((n+1)/(n+1)_psi) x^{n+1}."""
     if p.is_zero():
         return p
-    if p.degree + 1 > psi.n_max:
-        raise ValueError(
-            f"beyond truncation: raising degree {p.degree} exceeds N_max={psi.n_max}"
-        )
     out = [ZERO]
     for n, c in enumerate(p.coeffs):
         out.append(c * (Fraction(n + 1) / psi.number(n + 1)) if c else ZERO)
@@ -208,21 +206,14 @@ def translate(psi: PsiSequence, p: Poly) -> Poly:
     inner polynomials live in y.  The k-th term divides by k_psi!, i.e.
     multiplies by psi_k.  Setting y = 0 recovers p.
     """
-    if p.degree > psi.n_max:
-        raise ValueError(f"beyond truncation: degree {p.degree} > N_max={psi.n_max}")
     rows = []
     d = p
     k = 0
     while not d.is_zero():
-        rows.append(d.scale(psi.values[k]))
+        rows.append(d.scale(psi.value(k)))
         d = psi_derivative(psi, d)
         k += 1
     cols = []
     for i in range(len(p.coeffs)):
         cols.append(Poly([row.coeff(i, ZERO) for row in rows]))
     return Poly(cols)
-
-
-def bivariate_eval_y0(p: Poly) -> Poly:
-    """Set y = 0 in a bivariate polynomial, returning an x-polynomial."""
-    return Poly([inner.coeff(0, ZERO) for inner in p.coeffs])

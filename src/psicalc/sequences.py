@@ -151,8 +151,6 @@ def q_laguerre_closed(psi: PsiSequence, n: int) -> Poly:
         raise ValueError("negative index")
     if n == 0:
         return one_poly()
-    if n > psi.n_max:
-        raise ValueError(f"beyond truncation: n={n} > N_max={psi.n_max}")
     prefactor = psi.number(n) * Fraction(1, n)
     coeffs = [ZERO] * (n + 1)
     for k in range(1, n + 1):

@@ -77,8 +77,8 @@ class CheckResult:
         return f"{text}: {extra}" if extra else text
 
 
-def _grid_psis(n_max: int = 16) -> list[PsiSequence]:
-    return [by_name(name, n_max) for name in PSI_GRID]
+def _grid_psis() -> list[PsiSequence]:
+    return [by_name(name) for name in PSI_GRID]
 
 
 def _cells(n_top: int):
@@ -247,7 +247,7 @@ def suite_pincherle(count: int = 20, order: int = 8, max_degree: int = 10,
                     seed: int = 777) -> list[CheckResult]:
     """Formal-derivative series equals the raising-map commutator."""
     rng = random.Random(seed)
-    psis = _grid_psis(n_max=max_degree + 2)
+    psis = _grid_psis()
     failures = 0
     for trial in range(count):
         coeffs = [_random_rf(rng) for _ in range(order + 1)]

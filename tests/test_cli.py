@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from psicalc import verify
-from psicalc.cli import main
+from psicalc.cli import CLOSED_STDOUT, main
 from psicalc.psi import qgauss
 from psicalc.sequences import q_laguerre_closed
 from psicalc.verify import CheckResult
@@ -149,6 +149,9 @@ def test_verify_all_anywhere_runs_every_suite(capsys, monkeypatch):
     assert run_cli(capsys, "verify", "--suite", "all", "--suite", "bogus") == (2, "")
 
 
+SHORT_PSI = "short.json"  # psi_0 ... psi_3 only, written by the test below
+
+
 @pytest.mark.parametrize("argv", [
     ("table", "--N", "-1"),
     ("nogo", "--n", "-1"),
@@ -165,11 +168,19 @@ def test_verify_all_anywhere_runs_every_suite(capsys, monkeypatch):
     ("spin", "--j", "1", "--q", "1.5", "--tolerance", "inf"),
     ("spin", "--j", "1", "--q", "1.5", "--tolerance", "-1"),
     ("sheffer", "--psi", "classic", "--S", "one", "--alpha", "3/2", "--N", "2"),
+    ("table", "--psi", SHORT_PSI, "--N", "6"),
+    ("basic", "--psi", SHORT_PSI),
+    ("sheffer", "--psi", SHORT_PSI, "--S", "exp_sq"),
+    ("expand", "--psi", SHORT_PSI),
+    ("nogo", "--psi", SHORT_PSI, "--n", "3"),
 ], ids=" ".join)
-def test_bad_input_exits_2_with_empty_stdout(capsys, argv):
-    code, out = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
+def test_bad_input_exits_2_with_empty_stdout(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / SHORT_PSI).write_text(json.dumps(["1", "1", "1/2", "1/6"]))
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert SHORT_PSI not in argv or "beyond truncation" in captured.err
 
 
 @pytest.mark.parametrize("q", ["1e200", "1e-300"])
@@ -195,3 +206,16 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "n,n_psi,n_psi_fact"
     assert proc.stdout.splitlines()[5] == "4,4,24"
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    # the reader is gone before the first write, so every write fails
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "psicalc", "verify", "--suite", "laguerre"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == CLOSED_STDOUT
+    assert err == b""

@@ -93,10 +93,15 @@ def test_delta_constants_kill_and_map_x_to_constant():
 
 def test_exp_series_coefficients():
     e = exp_series(QG, 1, 5)
-    assert e.coeffs == tuple(QG.values[k] for k in range(6))
+    assert e.coeffs == tuple(QG.value(k) for k in range(6))
     e2 = exp_sq_series(QG, 6)
-    assert e2.coeffs[0] == ONE and e2.coeffs[2] == QG.values[1]
+    assert e2.coeffs[0] == ONE and e2.coeffs[2] == QG.value(1)
     assert not e2.coeffs[1] and not e2.coeffs[3]
+
+
+def test_builtin_series_reach_past_sixteen_terms():
+    assert exp_series(QG, 1, 20).coeffs[17] == QG.value(17)
+    assert exp_sq_series(QG, 40).coeffs[34] == QG.value(17)
 
 
 def test_laguerre_scaling_low_orders():

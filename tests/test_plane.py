@@ -10,7 +10,7 @@ from psicalc.plane import (
     smallest_witness,
 )
 from psicalc.poly import Poly
-from psicalc.psi import classic, fibonacci, monomial, qgauss, square, translate
+from psicalc.psi import classic, custom, fibonacci, monomial, qgauss, square, translate
 from psicalc.ratfun import ONE, QSYM, ZERO
 
 QG = qgauss()
@@ -26,8 +26,8 @@ def test_b_values():
 
 
 def test_b_beyond_truncation():
-    with pytest.raises(ValueError, match="beyond truncation"):
-        b_sequence(QG, QG.n_max)
+    with pytest.raises(ValueError, match="beyond truncation: n=4 > N_max=3"):
+        b_sequence(custom("short", [ONE, ONE, ONE / 2, ONE / 6]), 3)
 
 
 def test_commutation_zero_for_all_tables():

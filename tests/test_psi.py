@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from psicalc.operators import exp_series
 from psicalc.poly import Poly
 from psicalc.psi import (
     BUILTIN_PSIS,
@@ -17,12 +18,12 @@ from psicalc.psi import (
     qgauss,
     square,
     translate,
-    bivariate_eval_y0,
     xhat_psi,
 )
 from psicalc.ratfun import ONE, QSYM, ZERO, RationalFunction, parse_ratfun, rf
 
 ALL = [classic(), qgauss(), fibonacci(), square()]
+SHORT = custom("short", [ONE, ONE, rf(Fraction(1, 2)), rf(Fraction(1, 6))])  # psi_0..psi_3
 
 
 def test_builtin_numbers():
@@ -37,8 +38,8 @@ def test_builtin_numbers():
 
 def test_number_times_psi_recovers_previous():
     for psi in ALL:
-        for n in range(1, psi.n_max + 1):
-            assert psi.number(n) * psi.values[n] == psi.values[n - 1]
+        for n in range(1, 17):
+            assert psi.number(n) * psi.value(n) == psi.value(n - 1)
 
 
 def test_factorial_conventions():
@@ -77,11 +78,36 @@ def test_binomial_symmetry_and_factorial_identity():
 def test_index_errors():
     qg = ALL[1]
     with pytest.raises(ValueError, match="beyond truncation"):
-        qg.number(qg.n_max + 1)
+        SHORT.number(4)
+    with pytest.raises(ValueError, match="negative index"):
+        qg.number(-1)
     with pytest.raises(ValueError):
         qg.binomial(4, 5)
     with pytest.raises(ValueError):
         qg.binomial(4, -1)
+
+
+def test_builtin_tables_grow_on_demand():
+    qg = qgauss()
+    assert qg.number(40) == RationalFunction(Poly([1] * 40))
+    assert qg.factorial(40) == qg.factorial(39) * qg.number(40)
+    assert fibonacci().number(30) == 832040
+
+
+@pytest.mark.parametrize("reach", [
+    lambda: translate(SHORT, monomial(4)),
+    lambda: exp_series(SHORT, 1, 4),
+    lambda: psi_derivative(SHORT, monomial(4)),
+], ids=["translate", "exp_series", "psi_derivative"])
+def test_reading_past_a_custom_table_is_a_value_error(reach):
+    with pytest.raises(ValueError, match="beyond truncation: n=4 > N_max=3"):
+        reach()
+
+
+def test_tables_are_equal_only_to_themselves():
+    qg = qgauss()
+    assert qg == qg and qg != qgauss()
+    assert len({qg, qgauss()}) == 2
 
 
 def test_custom_validation():
@@ -121,8 +147,8 @@ def test_xhat_rules():
     assert xhat_psi(qg, monomial(2)) == want
     for psi in ALL:
         assert xhat_psi(psi, one_poly()) == monomial(1).scale(ONE / psi.number(1))
-    with pytest.raises(ValueError, match="beyond truncation"):
-        xhat_psi(qg, monomial(qg.n_max))
+    with pytest.raises(ValueError, match="beyond truncation: n=4 > N_max=3"):
+        xhat_psi(SHORT, monomial(3))
 
 
 def test_commutator_of_lowering_and_raising_is_identity():
@@ -153,7 +179,7 @@ def test_jackson_matches_deformed_derivative(coeffs):
 def test_translation_at_zero_recovers_input():
     qg = ALL[1]
     p = monomial(3) + monomial(1).scale(QSYM)
-    assert bivariate_eval_y0(translate(qg, p)) == p
+    assert Poly([inner.coeff(0, ZERO) for inner in translate(qg, p).coeffs]) == p
 
 
 def test_translation_of_squares():
