@@ -3,9 +3,10 @@
 Exact commands render scalars in the canonical string form, so repeated
 invocations are byte-identical.  Exit codes: 0 for success (including a
 WITNESS verdict, which is the expected outcome of the no-go check), 1 for
-a verification failure, 2 for usage errors, and 141 (128 + SIGPIPE, what a
-shell reports for a tool the signal ends) when the reader closes stdout
-before the output is written, as `psicalc ... | head -n 1` does.
+a verification failure, 2 for usage errors (an input too large for memory
+among them), and 141 (128 + SIGPIPE, what a shell reports for a tool the
+signal ends) when the reader closes stdout before the output is written,
+as `psicalc ... | head -n 1` does.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .expansion import expand_operator, reconstruct_operator
 from .operators import (
     DELTA_FAMILIES,
     SHEFFER_FACTORS,
-    DeltaOperator,
+    OperatorSeries,
     delta_by_name,
     laguerre_delta,
     scaling_matrix,
@@ -124,10 +125,15 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sequence_payload(psi: PsiSequence, delta: DeltaOperator, polys) -> dict:
+def _series_json(s: OperatorSeries, N: int) -> list[str]:
+    """a_0 ... a_{N+1} of s, rendered."""
+    return [s.coeff(k).render() for k in range(N + 2)]
+
+
+def _sequence_payload(psi: PsiSequence, delta: OperatorSeries, N: int, polys) -> dict:
     return {
         "psi": psi.name,
-        "Q": [c.render() for c in delta.coeffs],
+        "Q": _series_json(delta, N),
         "polys": [_render_poly(p) for p in polys],
     }
 
@@ -144,9 +150,9 @@ def _emit_polys(fmt: str, payload: dict, polys) -> None:
 
 def cmd_basic(args: argparse.Namespace) -> int:
     psi = _load_psi(args.psi)
-    delta = delta_by_name(args.Q, psi, args.N + 1)
+    delta = delta_by_name(args.Q, psi)
     polys = basic_sequence(delta, args.N, method="solve")
-    _emit_polys(args.format, _sequence_payload(psi, delta, polys), polys)
+    _emit_polys(args.format, _sequence_payload(psi, delta, args.N, polys), polys)
     return 0
 
 
@@ -154,33 +160,33 @@ def cmd_sheffer(args: argparse.Namespace) -> int:
     if args.alpha is not None and args.S != "laguerre_order":
         raise ValueError("--alpha applies only to --S laguerre_order")
     psi = _load_psi(args.psi)
-    delta = delta_by_name(args.Q, psi, args.N + 1)
-    factor = SHEFFER_FACTORS[args.S](psi, args.N + 1, args.alpha or Fraction(0))
+    delta = delta_by_name(args.Q, psi)
+    factor = SHEFFER_FACTORS[args.S](psi, args.alpha or Fraction(0))
     polys = sheffer_sequence(factor, basic_sequence(delta, args.N, method="solve"))
-    payload = _sequence_payload(psi, delta, polys)
-    payload["S"] = [c.render() for c in factor.coeffs]
+    payload = _sequence_payload(psi, delta, args.N, polys)
+    payload["S"] = _series_json(factor, args.N)
     _emit_polys(args.format, payload, polys)
     return 0
 
 
 def cmd_laguerre(args: argparse.Namespace) -> int:
     psi = qgauss()
-    delta = laguerre_delta(psi, args.n + 1)
+    delta = laguerre_delta(psi)
     polys = [q_laguerre_closed(psi, k) for k in range(args.n + 1)]
-    _emit_polys(args.format, _sequence_payload(psi, delta, polys), polys)
+    _emit_polys(args.format, _sequence_payload(psi, delta, args.n, polys), polys)
     return 0
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
     psi = _load_psi(args.psi)
-    delta = delta_by_name(args.Q, psi, args.N + 1)
+    delta = delta_by_name(args.Q, psi)
     op = OPERATORS[args.op](psi, args.N + 1)
     basic = basic_sequence(delta, args.N, method="solve")
     coeff_polys = expand_operator(op, delta, basic)
     exact = reconstruct_operator(coeff_polys, delta, basic) == op
     payload = {
         "psi": psi.name,
-        "Q": [c.render() for c in delta.coeffs],
+        "Q": _series_json(delta, args.N),
         "op": args.op,
         "coeff_polys": [_render_poly(p) for p in coeff_polys],
         "reconstruction_exact": exact,
@@ -395,6 +401,9 @@ def main(argv=None) -> int:
             code = USAGE_ERROR if exc.code not in (0, None) else 0
         except (ValueError, ZeroDivisionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            code = USAGE_ERROR
+        except MemoryError:
+            print("error: out of memory; try a smaller size", file=sys.stderr)
             code = USAGE_ERROR
         sys.stdout.flush()
         return code

@@ -1,7 +1,8 @@
-"""Shift-invariant operators as truncated power series in the psi-derivative.
+"""Shift-invariant operators as formal power series in the psi-derivative.
 
-A series sum_k a_k D^k (D the psi-derivative) acts exactly on polynomials
-whose degree does not exceed the truncation order, since D lowers degree.
+A series sum_k a_k D^k (D the psi-derivative) acts exactly on every
+polynomial, since D lowers degree: on p it reads only a_0 ... a_deg(p).
+Each series owns its reach, so no caller passes a truncation order.
 Delta operators are the series with a_0 = 0, a_1 != 0; they factor as
 D * S with S invertible, which drives every construction downstream.
 An operator table is a plain tuple of polynomials whose entry j is the
@@ -11,9 +12,9 @@ combinations that applying a table or changing basis needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .poly import Poly
 from .psi import PsiSequence, monomial, psi_derivative, xhat_psi
@@ -41,16 +42,32 @@ def combine(polys: Sequence[Poly], coeffs: Sequence) -> Poly:
     return Poly(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorSeries:
-    """Truncated formal power series in the psi-derivative."""
+    """Formal power series sum_k a_k D^k in the psi-derivative; equal only to itself.
+
+    A series without a rule is the polynomial in D its list spells out and
+    reads zero past the list's end; that is exact, not a truncation.  A
+    series with a rule computes a_k = rule(k) the first time a_k is read,
+    so it reaches as far as any caller asks.  `coeff` is the one read path.
+    """
 
     psi: PsiSequence
-    coeffs: tuple[RationalFunction, ...]
+    coeffs: list[RationalFunction] = field(repr=False)  # a_0, a_1, ...; a rule appends
+    rule: Callable[[int], RationalFunction] | None = field(default=None, repr=False)
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+    def coeff(self, k: int) -> RationalFunction:
+        """a_k, computed from the rule on its first read."""
+        cs = self.coeffs
+        if 0 <= k < len(cs):
+            return cs[k]
+        if k < 0:
+            raise ValueError("negative index")
+        if self.rule is None:
+            return ZERO
+        while len(cs) <= k:
+            cs.append(self.rule(len(cs)))
+        return cs[k]
 
     def _same(self, other: "OperatorSeries") -> None:
         if self.psi is not other.psi:
@@ -58,32 +75,39 @@ class OperatorSeries:
 
     def __mul__(self, other: "OperatorSeries") -> "OperatorSeries":
         self._same(other)
-        n = min(self.order, other.order)
-        out = [ZERO] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return OperatorSeries(self.psi, tuple(out))
+        a, b = self.coeffs, other.coeffs
+
+        def rule(k: int) -> RationalFunction:
+            self.coeff(k)  # grows a rule-backed operand through index k
+            other.coeff(k)
+            s = ZERO
+            for i in range(max(0, k + 1 - len(b)), min(k + 1, len(a))):
+                x, y = a[i], b[k - i]
+                if x and y:
+                    s = s + x * y
+            return s
+
+        return OperatorSeries(self.psi, [], rule)
 
     def invert(self) -> "OperatorSeries":
-        """Multiplicative inverse up to the truncation order."""
-        a0 = self.coeffs[0]
+        """Multiplicative inverse; requires a_0 != 0."""
+        a0 = self.coeff(0)
         if not a0:
             raise ValueError("non-invertible series")
         inv0 = a0.inverse()
+        a = self.coeffs
         out = [inv0]
-        for k in range(1, self.order + 1):
+
+        def rule(k: int) -> RationalFunction:
+            self.coeff(k)
             s = ZERO
-            for i in range(1, k + 1):
-                ai = self.coeffs[i]
+            for i in range(1, min(k + 1, len(a))):
+                ai = a[i]
                 if ai and out[k - i]:
                     s = s + ai * out[k - i]
-            out.append(-(s * inv0) if s else ZERO)
-        return OperatorSeries(self.psi, tuple(out))
+            return -(s * inv0) if s else ZERO
+
+        return OperatorSeries(self.psi, out, rule)
 
     def pincherle(self) -> "OperatorSeries":
         """Formal derivative sum_k k a_k D^{k-1}.
@@ -92,120 +116,81 @@ class OperatorSeries:
         [D, xhat_psi] = id; the matrix-commutator route in this module
         cross-checks it.
         """
-        if self.order == 0:
-            return OperatorSeries(self.psi, (ZERO,))
-        return OperatorSeries(
-            self.psi, tuple(self.coeffs[k] * k for k in range(1, self.order + 1))
-        )
-
-    def truncate(self, order: int) -> "OperatorSeries":
-        if order >= self.order:
-            pad = (ZERO,) * (order - self.order)
-            return OperatorSeries(self.psi, self.coeffs + pad)
-        return OperatorSeries(self.psi, self.coeffs[: order + 1])
+        return OperatorSeries(self.psi, [], lambda k: self.coeff(k + 1) * (k + 1))
 
     def apply(self, p: Poly) -> Poly:
-        """Act on a polynomial; exact because degree bounds the sum."""
-        if p.degree > self.order:
-            raise ValueError(
-                f"series order {self.order} too low for degree {p.degree}"
-            )
+        """Act on a polynomial, reading a_0 ... a_deg(p); exact because D lowers degree."""
         acc = Poly()
         d = p
-        for a in self.coeffs:
-            if d.is_zero():
-                break
+        for k in range(p.degree + 1):
+            if k:
+                d = psi_derivative(self.psi, d)
+            a = self.coeff(k)
             if a:
                 acc = acc + d.scale(a)
-            d = psi_derivative(self.psi, d)
         return acc
 
 
-def series(psi: PsiSequence, coeffs: Iterable, order: int) -> OperatorSeries:
-    """Build a series with explicit truncation order, zero padded."""
-    cs = [rf(c) for c in coeffs]
-    if len(cs) > order + 1:
-        if any(cs[order + 1 :]):
-            raise ValueError("coefficients exceed requested order")
-        cs = cs[: order + 1]
-    cs.extend([ZERO] * (order + 1 - len(cs)))
-    return OperatorSeries(psi, tuple(cs))
+def one_series(psi: PsiSequence) -> OperatorSeries:
+    return OperatorSeries(psi, [ONE])
 
 
-def one_series(psi: PsiSequence, order: int) -> OperatorSeries:
-    return series(psi, [ONE], order)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeltaOperator(OperatorSeries):
     """A series with no constant term and a nonzero linear term."""
 
     def __post_init__(self):
-        if self.coeffs[0]:
+        if self.coeff(0):
             raise ValueError("delta operator must kill constants")
-        if self.order < 1 or not self.coeffs[1]:
+        if not self.coeff(1):
             raise ValueError("delta operator needs a nonzero linear term")
 
     def s_factor(self) -> OperatorSeries:
         """The invertible S with Q = D * S; coefficients shift down by one."""
-        return OperatorSeries(self.psi, self.coeffs[1:])
+        return OperatorSeries(self.psi, [], lambda k: self.coeff(k + 1))
 
 
 # -- named constructors used across the verification grid -------------------
 
 
-def derivative_delta(psi: PsiSequence, order: int) -> DeltaOperator:
+def derivative_delta(psi: PsiSequence) -> DeltaOperator:
     """Q = D itself."""
-    return DeltaOperator(psi, series(psi, [ZERO, ONE], order).coeffs)
+    return DeltaOperator(psi, [ZERO, ONE])
 
 
-def laguerre_delta(psi: PsiSequence, order: int) -> DeltaOperator:
+def laguerre_delta(psi: PsiSequence) -> DeltaOperator:
     """Q = D/(D - 1) = -(D + D^2 + D^3 + ...)."""
-    return DeltaOperator(psi, series(psi, [ZERO] + [-ONE] * order, order).coeffs)
+    return DeltaOperator(psi, [ZERO], lambda k: -ONE)
 
 
-def quadratic_delta(psi: PsiSequence, order: int) -> DeltaOperator:
+def quadratic_delta(psi: PsiSequence) -> DeltaOperator:
     """Q = D(1 + D); not tied to any named family, exercises generic paths."""
-    return DeltaOperator(psi, series(psi, [ZERO, ONE, ONE], order).coeffs)
+    return DeltaOperator(psi, [ZERO, ONE, ONE])
 
 
-def exp_series(psi: PsiSequence, shift, order: int) -> OperatorSeries:
-    """Translation series sum_k shift^k psi_k D^k (the deformed exponential)."""
-    s = rf(shift)
-    coeffs = []
-    power = ONE
-    for k in range(order + 1):
-        coeffs.append(power * psi.value(k))
-        power = power * s
-    return OperatorSeries(psi, tuple(coeffs))
+def exp_series(psi: PsiSequence) -> OperatorSeries:
+    """Translation series sum_k psi_k D^k (the deformed exponential)."""
+    return OperatorSeries(psi, [], psi.value)
 
 
-def shifted_delta(psi: PsiSequence, order: int, shift=1) -> DeltaOperator:
-    """Q = D * E^shift(D), the deformed shifted derivative."""
-    inner = exp_series(psi, shift, order - 1)
-    return DeltaOperator(psi, (ZERO,) + inner.coeffs)
+def shifted_delta(psi: PsiSequence) -> DeltaOperator:
+    """Q = D * E(D), the deformed shifted derivative."""
+    return DeltaOperator(psi, [ZERO], lambda k: psi.value(k - 1))
 
 
-def exp_sq_series(psi: PsiSequence, order: int) -> OperatorSeries:
+def exp_sq_series(psi: PsiSequence) -> OperatorSeries:
     """The series sum_k psi_k D^{2k} (deformed exponential of D^2)."""
-    coeffs = [ZERO] * (order + 1)
-    for k in range(order // 2 + 1):
-        coeffs[2 * k] = psi.value(k)
-    return OperatorSeries(psi, tuple(coeffs))
+    return OperatorSeries(psi, [], lambda k: ZERO if k % 2 else psi.value(k // 2))
 
 
-def laguerre_scaling(psi: PsiSequence, alpha: Fraction, order: int) -> OperatorSeries:
+def laguerre_scaling(psi: PsiSequence, alpha: Fraction) -> OperatorSeries:
     """(1 - D)^(alpha+1) expanded with ordinary binomials of the exponent."""
     beta = Fraction(alpha) + 1
-    coeffs = [ONE]
-    c = Fraction(1)
-    for k in range(1, order + 1):
-        c = c * (beta - (k - 1)) / k
-        coeffs.append(rf(-c if k % 2 else c))
-    return OperatorSeries(psi, tuple(coeffs))
+    out = [ONE]
+    return OperatorSeries(psi, out, lambda k: out[k - 1] * rf((k - 1 - beta) / k))
 
 
-DELTA_FAMILIES: dict[str, Callable[[PsiSequence, int], DeltaOperator]] = {
+DELTA_FAMILIES: dict[str, Callable[[PsiSequence], DeltaOperator]] = {
     "derivative": derivative_delta,
     "laguerre": laguerre_delta,
     "quadratic": quadratic_delta,
@@ -213,22 +198,22 @@ DELTA_FAMILIES: dict[str, Callable[[PsiSequence, int], DeltaOperator]] = {
 }
 
 
-def delta_by_name(name: str, psi: PsiSequence, order: int) -> DeltaOperator:
+def delta_by_name(name: str, psi: PsiSequence) -> DeltaOperator:
     try:
-        return DELTA_FAMILIES[name](psi, order)
+        return DELTA_FAMILIES[name](psi)
     except KeyError:
         known = ", ".join(sorted(DELTA_FAMILIES))
         raise ValueError(f"unknown delta operator {name!r}; built-ins: {known}") from None
 
 
-# Invertible factors S of Sheffer sequences, called as (psi, order, alpha);
-# only laguerre_order reads alpha, the order of (1 - D)^(alpha+1).
+# Invertible factors S of Sheffer sequences, called as (psi, alpha); only
+# laguerre_order reads alpha, the order of (1 - D)^(alpha+1).
 SHEFFER_FACTORS: dict[str, Callable[..., OperatorSeries]] = {
-    "one": lambda psi, order, alpha=0: one_series(psi, order),
-    "one_minus": lambda psi, order, alpha=0: laguerre_scaling(psi, Fraction(0), order),
-    "exp_sq": lambda psi, order, alpha=0: exp_sq_series(psi, order),
-    "one_minus_sq": lambda psi, order, alpha=0: laguerre_scaling(psi, Fraction(1), order),
-    "laguerre_order": lambda psi, order, alpha=0: laguerre_scaling(psi, alpha, order),
+    "one": lambda psi, alpha=0: one_series(psi),
+    "one_minus": lambda psi, alpha=0: laguerre_scaling(psi, Fraction(0)),
+    "exp_sq": lambda psi, alpha=0: exp_sq_series(psi),
+    "one_minus_sq": lambda psi, alpha=0: laguerre_scaling(psi, Fraction(1)),
+    "laguerre_order": lambda psi, alpha=0: laguerre_scaling(psi, alpha),
 }
 
 
@@ -242,11 +227,7 @@ def table(fn: Callable[[Poly], Poly], dim: int) -> tuple[Poly, ...]:
 
 
 def pincherle_commutator_matrix(s: OperatorSeries, dim: int) -> tuple[Poly, ...]:
-    """[T, xhat_psi] assembled column-by-column; the oracle route.
-
-    Requires the series order to exceed dim, since the raising map bumps
-    intermediate degrees by one.
-    """
+    """[T, xhat_psi] assembled column-by-column; the oracle route."""
     psi = s.psi
     return table(lambda p: s.apply(xhat_psi(psi, p)) - xhat_psi(psi, s.apply(p)), dim)
 

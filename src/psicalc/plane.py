@@ -74,8 +74,6 @@ def commutation_check(psi: PsiSequence, n_top: int) -> list[Poly]:
 class NogoResult:
     """Both sides of the deformed binomial expansion of (A + B)^n on 1."""
 
-    psi_name: str
-    n: int
     lhs: Poly
     rhs: Poly
     residual: Poly
@@ -101,7 +99,7 @@ def binomial_nogo(psi: PsiSequence, n: int) -> NogoResult:
             term = multiply_x(term)
         coef = psi.binomial(n, k)
         rhs = rhs + Poly([inner.scale(coef) for inner in term.coeffs])
-    return NogoResult(psi.name, n, lhs, rhs, lhs - rhs)
+    return NogoResult(lhs, rhs, lhs - rhs)
 
 
 def smallest_witness(psi: PsiSequence, up_to: int) -> int | None:

@@ -23,20 +23,11 @@ BASIC_METHODS = ("lagrange1", "lagrange2", "rodrigues3", "rodrigues4", "solve")
 
 
 def basic_sequence(Q: DeltaOperator, n_top: int, method: str = "solve") -> tuple[Poly, ...]:
-    """Construct p_0 ... p_{n_top}; requires Q truncated at order > n_top."""
+    """Construct p_0 ... p_{n_top}."""
     if method not in BASIC_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {BASIC_METHODS}")
-    if method == "solve":
-        if Q.order < n_top:
-            raise ValueError(f"delta order {Q.order} too low for n_top={n_top}")
-        polys = _basic_solve(Q, n_top)
-    else:
-        if Q.order < n_top + 1:
-            raise ValueError(
-                f"delta order {Q.order} too low for n_top={n_top} (need n_top+1)"
-            )
-        polys = _BASIC_BUILDERS[method](Q, n_top)
-    return tuple(polys)
+    build = _basic_solve if method == "solve" else _BASIC_BUILDERS[method]
+    return tuple(build(Q, n_top))
 
 
 def lowering_residuals(Q: DeltaOperator, polys: tuple[Poly, ...]) -> list[Poly]:
@@ -48,12 +39,12 @@ def lowering_residuals(Q: DeltaOperator, polys: tuple[Poly, ...]) -> list[Poly]:
 def _basic_solve(Q: DeltaOperator, n_top: int) -> list[Poly]:
     """Triangular solve of Q p_n = n_psi p_{n-1}, p_n(0) = 0, one degree at a time.
 
-    Touches only the raw series coefficients and falling factorials, so it
-    stays independent of series multiplication, inversion and the
-    commutator calculus used by the closed formulas.
+    Reads only the series coefficients (through Q.coeff) and falling
+    factorials, so it stays independent of series multiplication,
+    inversion and the commutator calculus used by the closed formulas.
     """
     psi = Q.psi
-    a = Q.coeffs
+    a = Q.coeff
     polys = [one_poly()]
     for n in range(1, n_top + 1):
         rhs = polys[n - 1].scale(psi.number(n))
@@ -61,10 +52,10 @@ def _basic_solve(Q: DeltaOperator, n_top: int) -> list[Poly]:
         for m in range(n - 1, -1, -1):
             s = rhs.coeff(m, ZERO)
             for i in range(m + 2, n + 1):
-                ai = a[i - m]
+                ai = a(i - m)
                 if ai and c[i]:
                     s = s - ai * psi.falling(i, i - m) * c[i]
-            c[m + 1] = s / (a[1] * psi.number(m + 1))
+            c[m + 1] = s / (a(1) * psi.number(m + 1))
         polys.append(Poly(c))
     return polys
 
@@ -72,7 +63,7 @@ def _basic_solve(Q: DeltaOperator, n_top: int) -> list[Poly]:
 def _inverse_powers(Q: DeltaOperator, count: int) -> list[OperatorSeries]:
     """[S^0, S^-1, ..., S^-count] for the factor S of Q."""
     s_inv = Q.s_factor().invert()
-    powers = [one_series(Q.psi, s_inv.order)]
+    powers = [one_series(Q.psi)]
     for _ in range(count):
         powers.append(powers[-1] * s_inv)
     return powers
@@ -134,8 +125,6 @@ _BASIC_BUILDERS = {
 def sheffer_sequence(S: OperatorSeries, basic: tuple[Poly, ...]) -> tuple[Poly, ...]:
     """s_n = S^{-1} p_n for an invertible shift-invariant S and the basic sequence p_n."""
     s_inv = S.invert()
-    if S.order < len(basic) - 1:
-        raise ValueError(f"scaling order {S.order} too low for n_top={len(basic) - 1}")
     return tuple(s_inv.apply(p) for p in basic)
 
 
@@ -163,15 +152,15 @@ def q_laguerre_closed(psi: PsiSequence, n: int) -> Poly:
 
 
 def binomial_residuals(
-    psi: PsiSequence, left: tuple[Poly, ...], right: tuple[Poly, ...], n_top: int
+    psi: PsiSequence, left: tuple[Poly, ...], right: tuple[Poly, ...]
 ) -> list[Poly]:
-    """Residuals translate(l_n) - sum_k C(n,k)_psi l_k(x) r_{n-k}(y), n <= n_top.
+    """Residuals translate(l_n) - sum_k C(n,k)_psi l_k(x) r_{n-k}(y), n < len(left).
 
     Bivariate polynomials; all zero when right is a basic sequence and left
     is the same sequence or a Sheffer sequence of its delta operator.
     """
     out = []
-    for n in range(n_top + 1):
+    for n in range(len(left)):
         lhs = translate(psi, left[n])
         rhs = Poly()
         for k in range(n + 1):

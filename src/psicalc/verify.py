@@ -82,11 +82,11 @@ def _grid_psis() -> list[PsiSequence]:
 
 
 def _cells(n_top: int):
-    """Every (psi, delta name, Q, basic) of the grid: Q truncated at order
-    n_top + 1 and its basic sequence p_0 ... p_{n_top}, solved once here."""
+    """Every (psi, delta name, Q, basic) of the grid: Q and its basic
+    sequence p_0 ... p_{n_top}, solved once here."""
     for psi in _grid_psis():
         for dname in DELTA_GRID:
-            Q = delta_by_name(dname, psi, n_top + 1)
+            Q = delta_by_name(dname, psi)
             yield psi, dname, Q, basic_sequence(Q, n_top, "solve")
 
 
@@ -114,9 +114,9 @@ def suite_method_agreement(n_top: int = 10) -> list[CheckResult]:
 def suite_laguerre(n_top: int = 10) -> list[CheckResult]:
     """Closed form equals the solve oracle; q -> 1 matches the classic table."""
     psi_q = qgauss()
-    oracle = basic_sequence(laguerre_delta(psi_q, n_top + 1), n_top, "solve")
+    oracle = basic_sequence(laguerre_delta(psi_q), n_top, "solve")
     ok = all(q_laguerre_closed(psi_q, n) == oracle[n] for n in range(n_top + 1))
-    classic_oracle = basic_sequence(laguerre_delta(classic(), n_top + 1), n_top, "solve")
+    classic_oracle = basic_sequence(laguerre_delta(classic()), n_top, "solve")
     n = next((n for n in range(n_top + 1)
               if q_laguerre_closed(psi_q, n).map_coeffs(lambda c: rf(c.eval_q(1)))
               != classic_oracle[n]), None)
@@ -130,7 +130,7 @@ def suite_binomial(n_top: int = 10) -> list[CheckResult]:
     """Translation identity for every grid basic sequence."""
     out = []
     for psi, dname, Q, basic in _cells(n_top):
-        res = binomial_residuals(psi, basic, basic, n_top)
+        res = binomial_residuals(psi, basic, basic)
         out.append(_exact("binomial", f"psi={psi.name} Q={dname} n<={n_top}", not any(res)))
     return out
 
@@ -140,8 +140,8 @@ def suite_sheffer(n_top: int = 8) -> list[CheckResult]:
     out = []
     for psi, dname, Q, basic in _cells(n_top):
         for sname in SHEFFER_GRID:
-            sh = sheffer_sequence(SHEFFER_FACTORS[sname](psi, n_top + 1), basic)
-            res = binomial_residuals(psi, sh, basic, n_top)
+            sh = sheffer_sequence(SHEFFER_FACTORS[sname](psi), basic)
+            res = binomial_residuals(psi, sh, basic)
             out.append(_exact("sheffer", f"psi={psi.name} Q={dname} S={sname} n<={n_top}",
                               not any(res)))
     return out
@@ -173,7 +173,7 @@ def suite_expansion(count: int = 50, size: int = 8, seed: int = 20240811) -> lis
         gs = expand_operator(T, Q, basic)
         R = reconstruct_operator(gs, Q, basic)
         failures += R != T or expand_operator(R, Q, basic) != gs
-    Q = delta_by_name("derivative", qgauss(), size + 1)
+    Q = delta_by_name("derivative", qgauss())
     basic = basic_sequence(Q, size, "solve")
     T = scaling_matrix(QSYM, size + 1)
     ok = reconstruct_operator(expand_operator(T, Q, basic), Q, basic) == T
@@ -243,19 +243,20 @@ def render_bivariate(p: Poly) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def suite_pincherle(count: int = 20, order: int = 8, max_degree: int = 10,
+def suite_pincherle(count: int = 20, d_degree: int = 8, max_degree: int = 10,
                     seed: int = 777) -> list[CheckResult]:
-    """Formal-derivative series equals the raising-map commutator."""
+    """Formal-derivative series equals the raising-map commutator, on random
+    polynomials in D of degree d_degree."""
     rng = random.Random(seed)
     psis = _grid_psis()
     failures = 0
     for trial in range(count):
-        coeffs = [_random_rf(rng) for _ in range(order + 1)]
-        s = OperatorSeries(psis[trial % len(psis)], tuple(coeffs)).truncate(max_degree + 1)
+        coeffs = [_random_rf(rng) for _ in range(d_degree + 1)]
+        s = OperatorSeries(psis[trial % len(psis)], coeffs)
         direct = table(s.pincherle().apply, max_degree + 1)
         failures += direct != pincherle_commutator_matrix(s, max_degree + 1)
-    return [_exact("pincherle", f"{count} random series, order {order}, degrees<={max_degree}",
-                   failures == 0, f"{failures} failures")]
+    name = f"{count} random series, order {d_degree}, degrees<={max_degree}"
+    return [_exact("pincherle", name, failures == 0, f"{failures} failures")]
 
 
 # -- numeric suites ----------------------------------------------------------

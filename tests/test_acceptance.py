@@ -122,7 +122,7 @@ def test_criterion_10_weyl_pairs():
 
 def test_criterion_11_pincherle_consistency():
     t0 = time.time()
-    results = V.suite_pincherle(count=20, order=8, max_degree=10)
+    results = V.suite_pincherle(count=20, d_degree=8, max_degree=10)
     took = time.time() - t0
     _report("11 formal derivative = commutator oracle (20 random, exact)",
             _all_pass(results), f"{took:.1f}s")

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from psicalc import verify
+from psicalc import cli, verify
 from psicalc.cli import CLOSED_STDOUT, main
 from psicalc.psi import qgauss
 from psicalc.sequences import q_laguerre_closed
@@ -190,6 +190,25 @@ def test_spin_bracket_overflow_is_a_usage_error(capsys, q):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "overflows the deformed bracket at j = 1" in captured.err
+
+
+def test_basic_at_n_zero_needs_no_series_order(capsys):
+    # p_0 = 1 for every delta operator, even one whose D^2 term lies past N
+    code, out = run_cli(capsys, "basic", "--psi", "classic", "--Q", "quadratic",
+                        "--N", "0", "--format", "json")
+    assert code == 0
+    assert out == '{"psi": "classic", "Q": ["0", "1"], "polys": [["1"]]}\n'
+
+
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
+    def too_big(n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "weyl_build", too_big)
+    assert main(["weyl", "--N", "20000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory; try a smaller size\n"
 
 
 def test_usage_error_exit_code():

@@ -27,21 +27,21 @@ CL = classic()
 
 
 def test_basic_coordinate_roundtrip():
-    seq = basic_sequence(laguerre_delta(QG, 8), 7, "solve")
+    seq = basic_sequence(laguerre_delta(QG), 7, "solve")
     p = monomial(5) + monomial(2).scale(QSYM) + monomial(0)
     coords = to_basic_coords(seq, p)
     assert combine(seq, coords) == p
 
 
 def test_dual_of_derivative_is_multiplication_by_x():
-    raising = dual_xhat(basic_sequence(derivative_delta(QG, 9), 7, "solve"))
+    raising = dual_xhat(basic_sequence(derivative_delta(QG), 7, "solve"))
     assert len(raising) == 7
     for j in range(7):
         assert raising[j] == monomial(j + 1)
 
 
 def test_dual_double_shift_and_laguerre_example():
-    delta = laguerre_delta(QG, 10)
+    delta = laguerre_delta(QG)
     seq = basic_sequence(delta, 8, "solve")
     raising = dual_xhat(seq[:8])
     assert combine(raising, combine(raising, seq[0].coeffs).coeffs) == seq[2]
@@ -49,7 +49,7 @@ def test_dual_double_shift_and_laguerre_example():
 
 
 def test_identity_expansion():
-    delta = laguerre_delta(QG, 8)
+    delta = laguerre_delta(QG)
     coeffs = expand_operator(table(lambda p: p, 7), delta, basic_sequence(delta, 6, "solve"))
     assert coeffs[0] == Poly((ONE,))
     assert all(g.is_zero() for g in coeffs[1:])
@@ -57,7 +57,7 @@ def test_identity_expansion():
 
 def test_number_operator_expansion():
     number = table(lambda p: psi_derivative(QG, p).shifted(1), 7)
-    delta = derivative_delta(QG, 8)
+    delta = derivative_delta(QG)
     coeffs = expand_operator(number, delta, basic_sequence(delta, 6, "solve"))
     assert coeffs[0].is_zero()
     assert coeffs[1] == monomial(1)
@@ -65,7 +65,7 @@ def test_number_operator_expansion():
 
 
 def test_dilation_expansion_and_reconstruction():
-    delta = derivative_delta(QG, 8)
+    delta = derivative_delta(QG)
     basic = basic_sequence(delta, 6, "solve")
     dilation = scaling_matrix(QSYM, 7)
     coeffs = expand_operator(dilation, delta, basic)
@@ -83,7 +83,7 @@ def _random_table(rng, dim):
 
 def test_random_roundtrips_and_uniqueness():
     rng = random.Random(11)
-    delta = laguerre_delta(QG, 9)
+    delta = laguerre_delta(QG)
     basic = basic_sequence(delta, 8, "solve")
     for _ in range(8):
         T = _random_table(rng, 9)
@@ -95,13 +95,13 @@ def test_random_roundtrips_and_uniqueness():
 
 def test_truncation_exceeded():
     raising = table(lambda p: p.shifted(1), 4)
-    delta = laguerre_delta(QG, 6)
+    delta = laguerre_delta(QG)
     with pytest.raises(ValueError, match="truncation exceeded"):
         expand_operator(raising, delta, basic_sequence(delta, 5, "solve"))
 
 
 def test_short_basic_sequence_is_an_error():
-    delta = laguerre_delta(QG, 8)
+    delta = laguerre_delta(QG)
     basic = basic_sequence(delta, 7, "solve")
     T = _random_table(random.Random(5), 8)
     coeffs = expand_operator(T, delta, basic)
@@ -125,7 +125,7 @@ def test_mutator_eigenvalue_values():
 def test_qmutator_identity_across_grid():
     for psi in (CL, QG, fibonacci()):
         for name in ("derivative", "laguerre", "quadratic", "shifted"):
-            delta = delta_by_name(name, psi, 9)
+            delta = delta_by_name(name, psi)
             res = qmutator_check(delta, basic_sequence(delta, 7, "solve"))
             assert len(res) == 7
             assert not any(res), (psi.name, name, [str(r.coeffs) for r in res])

@@ -96,7 +96,7 @@ def test_builtin_tables_grow_on_demand():
 
 @pytest.mark.parametrize("reach", [
     lambda: translate(SHORT, monomial(4)),
-    lambda: exp_series(SHORT, 1, 4),
+    lambda: exp_series(SHORT).coeff(4),
     lambda: psi_derivative(SHORT, monomial(4)),
 ], ids=["translate", "exp_series", "psi_derivative"])
 def test_reading_past_a_custom_table_is_a_value_error(reach):
