@@ -36,9 +36,9 @@ from .psi import BUILTIN_PSIS, PsiSequence, by_name, custom, psi_derivative, qga
 from .poly import Poly
 from .ratfun import QSYM, parse_ratfun
 from .sequences import basic_sequence, q_laguerre_closed, sheffer_sequence
-from .su2q import polar_decompose, su2_build, su2_commutator_check
+from .su2q import TOLERANCE, polar_decompose, su2_build, su2_commutator_check
 from .verify import SUITES, run_suites
-from .weyl import NumericCheck, weyl_build, weyl_check
+from .weyl import weyl_build, weyl_check
 
 USAGE_ERROR = 2
 CLOSED_STDOUT = 141
@@ -239,11 +239,7 @@ def _matrix_json(a) -> list:
 
 def cmd_spin(args: argparse.Namespace) -> int:
     rep = su2_build(args.j, q=args.q)
-    checks = [su2_commutator_check(rep, args.tolerance)]
-    try:
-        checks.append(polar_decompose(rep, args.tolerance))
-    except ValueError as exc:
-        checks.append(NumericCheck("polar", checks[0].params, skipped=str(exc)))
+    checks = [su2_commutator_check(rep, args.tolerance), polar_decompose(rep, args.tolerance)]
     reports = [c.as_json() for c in checks]
     if args.format == "json":
         emit(json.dumps({
@@ -381,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=_rational, default=Fraction(1))
     p.add_argument("--q", type=_parse_complex, default=None,
                    help="deformation parameter re[,im]; omit for undeformed")
-    p.add_argument("--tolerance", type=_tolerance, default=1e-10)
+    p.add_argument("--tolerance", type=_tolerance, default=TOLERANCE)
     add("weyl", "clock/shift pair, Sylvester transform and checks",
         formats=("json", "text"), N=6)
     p = add("verify", "run identity suites and exit 0 only if all pass", formats=())

@@ -124,8 +124,9 @@ def qmutator_check(Q: DeltaOperator, basic: tuple[Poly, ...]) -> list[Poly]:
 
     Returns Q xhat_Q p_n - qhat xhat_Q Q p_n - p_n for n < len(basic) - 1;
     all are zero when the bracket holds.  The qhat factor multiplies the
-    index-n component by ((n+1)_psi - 1)/n_psi; components on p_0 are
-    always zero here, so the undefined n = 0 eigenvalue is never evaluated.
+    index-n component by ((n+1)_psi - 1)/n_psi.  Zero components are
+    skipped, and the component on p_0 is always zero here (xhat_Q raises
+    the index), so the undefined n = 0 eigenvalue is never evaluated.
     """
     _need(basic, 1)
     psi = Q.psi
@@ -133,11 +134,6 @@ def qmutator_check(Q: DeltaOperator, basic: tuple[Poly, ...]) -> list[Poly]:
     residuals = []
     for p_n in basic[:-1]:
         first = Q.apply(combine(raise_map, p_n.coeffs))
-        lowered = Q.apply(p_n)
-        second = (
-            _mutator_scale(psi, basic, combine(raise_map, lowered.coeffs))
-            if lowered.coeffs
-            else Poly()
-        )
+        second = _mutator_scale(psi, basic, combine(raise_map, Q.apply(p_n).coeffs))
         residuals.append(first - second - p_n)
     return residuals

@@ -5,6 +5,7 @@ p_n(0) = 0, Q p_n = n_psi p_{n-1}), returned as a tuple of polynomials.
 Four closed constructions are implemented from the factor S together
 with an independent triangular solve of the defining recurrence; all five
 must agree exactly, which is the backbone of the verification suite.
+`BASIC_BUILDERS` is the one registry of the five, by method name.
 The lowering relation and the binomial-type identities come back as
 lists of residual polynomials, all zero when the identity holds.
 """
@@ -19,15 +20,11 @@ from .poly import Poly
 from .psi import PsiSequence, monomial, one_poly, translate, xhat_psi
 from .ratfun import ZERO, RationalFunction
 
-BASIC_METHODS = ("lagrange1", "lagrange2", "rodrigues3", "rodrigues4", "solve")
-
-
 def basic_sequence(Q: DeltaOperator, n_top: int, method: str = "solve") -> tuple[Poly, ...]:
     """Construct p_0 ... p_{n_top}."""
-    if method not in BASIC_METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {BASIC_METHODS}")
-    build = _basic_solve if method == "solve" else _BASIC_BUILDERS[method]
-    return tuple(build(Q, n_top))
+    if method not in BASIC_BUILDERS:
+        raise ValueError(f"unknown method {method!r}; choose from {tuple(BASIC_BUILDERS)}")
+    return tuple(BASIC_BUILDERS[method](Q, n_top))
 
 
 def lowering_residuals(Q: DeltaOperator, polys: tuple[Poly, ...]) -> list[Poly]:
@@ -114,11 +111,12 @@ def _basic_rodrigues4(Q: DeltaOperator, n_top: int) -> list[Poly]:
     return polys
 
 
-_BASIC_BUILDERS = {
+BASIC_BUILDERS = {
     "lagrange1": _basic_lagrange1,
     "lagrange2": _basic_lagrange2,
     "rodrigues3": _basic_rodrigues3,
     "rodrigues4": _basic_rodrigues4,
+    "solve": _basic_solve,
 }
 
 

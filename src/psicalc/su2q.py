@@ -15,6 +15,8 @@ import numpy as np
 
 from .weyl import NumericCheck, cyclic_shift, inf_norm
 
+TOLERANCE = 1e-10  # default gate of both checks and of `spin --tolerance`
+
 
 def q_bracket(x: float, q: complex) -> complex:
     """The symmetric deformed number (q^x - q^{-x})/(q - q^{-1})."""
@@ -92,7 +94,7 @@ def _params(rep: SpinRep) -> dict:
     return {"j": float(rep.j), "q": q}
 
 
-def su2_commutator_check(rep: SpinRep, tolerance: float = 1e-10) -> NumericCheck:
+def su2_commutator_check(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericCheck:
     """Residuals of [J3, J+/-] = +/-J+/- and [J+, J-] = bracket(2 J3)."""
     c12 = rep.j3 @ rep.jplus - rep.jplus @ rep.j3
     c13 = rep.j3 @ rep.jminus - rep.jminus @ rep.j3
@@ -126,7 +128,7 @@ def _psd_sqrt(prod: np.ndarray, tol: float) -> np.ndarray:
     return np.diag(np.sqrt(np.clip(d.real, 0.0, None).astype(complex)))
 
 
-def polar_decompose(rep: SpinRep, tolerance: float = 1e-10) -> NumericCheck:
+def polar_decompose(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericCheck:
     """Split the ladder pair into positive moduli times a cyclic shift.
 
     The four identities are the polar forms of J- and its adjoint partner:
@@ -135,18 +137,21 @@ def polar_decompose(rep: SpinRep, tolerance: float = 1e-10) -> NumericCheck:
     adjoint.  Whichever direction fits is reported; the wrap-around corner
     of the shift is annihilated by the zero eigenvalue of the modulus.
 
-    Deformations with any non-positive interior bracket value (k up to 2j)
-    are rejected: they would need complex square roots, or degenerate the
-    modulus at interior slots where rounding noise dominates.
+    Deformations with a non-positive interior bracket value (k up to 2j)
+    come back skipped, like any modulus that is not diagonal PSD: they need
+    complex square roots, or degenerate the modulus where rounding dominates.
     """
     if rep.q is not None:
         for k in range(1, rep.j2 + 1):
             v = q_bracket(k, rep.q)
             if abs(v.imag) > 1e-9 * max(1.0, abs(v)) or v.real <= 1e-9:
-                raise ValueError("modulus not PSD for this q")
+                return NumericCheck("polar", _params(rep), skipped="modulus not PSD for this q")
     guard = max(tolerance, 1e-12) * max(1.0, inf_norm(rep.jplus)) ** 2
-    modulus = _psd_sqrt(rep.jplus @ rep.jminus, guard)
-    comodulus = _psd_sqrt(rep.jminus @ rep.jplus, guard)
+    try:
+        modulus = _psd_sqrt(rep.jplus @ rep.jminus, guard)
+        comodulus = _psd_sqrt(rep.jminus @ rep.jplus, guard)
+    except ValueError as exc:
+        return NumericCheck("polar", _params(rep), skipped=str(exc))
 
     shift = cyclic_shift(rep.dim)
     best = None

@@ -41,17 +41,20 @@ from .psi import (
 )
 from .ratfun import QSYM, RationalFunction, rf
 from .sequences import (
+    BASIC_BUILDERS,
     basic_sequence,
     binomial_residuals,
     q_laguerre_closed,
     sheffer_sequence,
 )
-from .su2q import polar_decompose, su2_build, su2_commutator_check
+from .su2q import TOLERANCE, polar_decompose, su2_build, su2_commutator_check
 from .weyl import shift_spectrum_residual, weyl_build, weyl_check
 
 PSI_GRID = tuple(BUILTIN_PSIS)
 DELTA_GRID = tuple(DELTA_FAMILIES)
 SHEFFER_GRID = ("one_minus", "exp_sq", "one_minus_sq")
+N_TOP = 10  # top index n of methods, laguerre, binomial, qmutator and nogo
+SPIN_J_MAX = 6.0  # su2 and polar run j = 1/2, 1, ..., SPIN_J_MAX
 
 SU2_Q_SET: tuple = (0.5, 1.5, 2.0, np.exp(1j * np.pi / 7), np.exp(1j * np.pi / 12))
 POLAR_Q_SET: tuple = (0.5, 1.5, 2.0)
@@ -98,45 +101,46 @@ def _exact(suite: str, name: str, ok: bool, bad: str = "nonzero residual") -> Ch
 # -- exact suites ------------------------------------------------------------
 
 
-def suite_method_agreement(n_top: int = 10) -> list[CheckResult]:
+def suite_method_agreement() -> list[CheckResult]:
     """All five basic-sequence constructions agree on the full grid."""
+    closed = [m for m in BASIC_BUILDERS if m != "solve"]
     out = []
-    for psi, dname, Q, ref in _cells(n_top):
-        method = next((m for m in ("lagrange1", "lagrange2", "rodrigues3", "rodrigues4")
-                       if basic_sequence(Q, n_top, m) != ref), None)
+    for psi, dname, Q, ref in _cells(N_TOP):
+        method = next((m for m in closed if basic_sequence(Q, N_TOP, m) != ref), None)
         out.append(CheckResult(
-            "methods", f"psi={psi.name} Q={dname} n<={n_top}", method is None,
+            "methods", f"psi={psi.name} Q={dname} n<={N_TOP}", method is None,
             "exact agreement" if method is None else f"method {method} disagrees",
         ))
     return out
 
 
-def suite_laguerre(n_top: int = 10) -> list[CheckResult]:
+def suite_laguerre() -> list[CheckResult]:
     """Closed form equals the solve oracle; q -> 1 matches the classic table."""
     psi_q = qgauss()
-    oracle = basic_sequence(laguerre_delta(psi_q), n_top, "solve")
-    ok = all(q_laguerre_closed(psi_q, n) == oracle[n] for n in range(n_top + 1))
-    classic_oracle = basic_sequence(laguerre_delta(classic()), n_top, "solve")
-    n = next((n for n in range(n_top + 1)
+    oracle = basic_sequence(laguerre_delta(psi_q), N_TOP, "solve")
+    ok = all(q_laguerre_closed(psi_q, n) == oracle[n] for n in range(N_TOP + 1))
+    classic_oracle = basic_sequence(laguerre_delta(classic()), N_TOP, "solve")
+    n = next((n for n in range(N_TOP + 1)
               if q_laguerre_closed(psi_q, n).map_coeffs(lambda c: rf(c.eval_q(1)))
               != classic_oracle[n]), None)
     return [
-        _exact("laguerre", f"closed form vs solve, n<={n_top}", ok, "mismatch"),
-        _exact("laguerre", f"q->1 specialization, n<={n_top}", n is None, f"mismatch at n={n}"),
+        _exact("laguerre", f"closed form vs solve, n<={N_TOP}", ok, "mismatch"),
+        _exact("laguerre", f"q->1 specialization, n<={N_TOP}", n is None, f"mismatch at n={n}"),
     ]
 
 
-def suite_binomial(n_top: int = 10) -> list[CheckResult]:
+def suite_binomial() -> list[CheckResult]:
     """Translation identity for every grid basic sequence."""
     out = []
-    for psi, dname, Q, basic in _cells(n_top):
+    for psi, dname, Q, basic in _cells(N_TOP):
         res = binomial_residuals(psi, basic, basic)
-        out.append(_exact("binomial", f"psi={psi.name} Q={dname} n<={n_top}", not any(res)))
+        out.append(_exact("binomial", f"psi={psi.name} Q={dname} n<={N_TOP}", not any(res)))
     return out
 
 
-def suite_sheffer(n_top: int = 8) -> list[CheckResult]:
+def suite_sheffer() -> list[CheckResult]:
     """Translation identity for Sheffer sequences over three scaling factors."""
+    n_top = 8
     out = []
     for psi, dname, Q, basic in _cells(n_top):
         for sname in SHEFFER_GRID:
@@ -162,9 +166,10 @@ def random_nonraising_table(rng: random.Random, dim: int) -> tuple[Poly, ...]:
     return tuple(Poly([_random_rf(rng) for _ in range(j + 1)]) for j in range(dim))
 
 
-def suite_expansion(count: int = 50, size: int = 8, seed: int = 20240811) -> list[CheckResult]:
+def suite_expansion() -> list[CheckResult]:
     """Expansion/reconstruction roundtrips plus the dilation example."""
-    rng = random.Random(seed)
+    count, size = 50, 8
+    rng = random.Random(20240811)
     grid = [(Q, basic) for _, _, Q, basic in _cells(size)]
     failures = 0
     for trial in range(count):
@@ -184,33 +189,34 @@ def suite_expansion(count: int = 50, size: int = 8, seed: int = 20240811) -> lis
     ]
 
 
-def suite_qmutator(n_top: int = 10) -> list[CheckResult]:
+def suite_qmutator() -> list[CheckResult]:
     """Deformed bracket of (Q, xhat_Q) equals the identity on the grid."""
     out = [
-        _exact("qmutator", f"psi={psi.name} Q={dname} n<{n_top}",
+        _exact("qmutator", f"psi={psi.name} Q={dname} n<{N_TOP}",
                not any(qmutator_check(Q, basic)))
-        for psi, dname, Q, basic in _cells(n_top)
+        for psi, dname, Q, basic in _cells(N_TOP)
     ]
     psi_q = qgauss()
     ok = all(
         psi_derivative(psi_q, xn.shifted(1)) - psi_derivative(psi_q, xn).shifted(1).scale(QSYM)
         == xn
-        for xn in map(monomial, range(n_top))
+        for xn in map(monomial, range(N_TOP))
     )
     out.append(_exact("qmutator", "q-case reduction Dq x - q x Dq = id", ok, "mismatch"))
     return out
 
 
-def suite_nogo(n_top: int = 10, witness_up_to: int = 4) -> list[CheckResult]:
+def suite_nogo() -> list[CheckResult]:
     """Zero residuals for the q table; explicit witnesses elsewhere."""
+    witness_up_to = 4
     psi_q = qgauss()
 
     def broken(n: int) -> bool:
         r = plane_mod.binomial_nogo(psi_q, n)
         return not r.residual.is_zero() or r.lhs != translate(psi_q, monomial(n))
 
-    n = next((n for n in range(n_top + 1) if broken(n)), None)
-    out = [_exact("nogo", f"psi=qgauss residuals zero, n<={n_top}", n is None,
+    n = next((n for n in range(N_TOP + 1) if broken(n)), None)
+    out = [_exact("nogo", f"psi=qgauss residuals zero, n<={N_TOP}", n is None,
                   f"failure at n={n}")]
     for name in ("fibonacci", "square"):
         psi = by_name(name)
@@ -243,11 +249,11 @@ def render_bivariate(p: Poly) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def suite_pincherle(count: int = 20, d_degree: int = 8, max_degree: int = 10,
-                    seed: int = 777) -> list[CheckResult]:
+def suite_pincherle() -> list[CheckResult]:
     """Formal-derivative series equals the raising-map commutator, on random
     polynomials in D of degree d_degree."""
-    rng = random.Random(seed)
+    count, d_degree, max_degree = 20, 8, 10
+    rng = random.Random(777)
     psis = _grid_psis()
     failures = 0
     for trial in range(count):
@@ -271,44 +277,43 @@ def _fmt_q(q) -> str:
     return f"q={qc.real:.6f}{qc.imag:+.6f}i"
 
 
-def _spins(j_max: float, qs):
-    """(report name, ladder matrices) for j = 1/2, 1, ..., j_max and each q."""
-    for j2 in range(1, int(2 * j_max) + 1):
+def _spins(qs):
+    """(report name, ladder matrices) for j = 1/2, 1, ..., SPIN_J_MAX and each q."""
+    for j2 in range(1, int(2 * SPIN_J_MAX) + 1):
         for q in qs:
             yield f"j={j2 / 2:g} {_fmt_q(q)}", su2_build(Fraction(j2, 2), q=q)
 
 
-def suite_su2(tolerance: float = 1e-10, j_max: float = 6.0) -> list[CheckResult]:
+def suite_su2() -> list[CheckResult]:
     """Ladder commutation relations for every (j, q) cell."""
     out = []
-    for name, rep in _spins(j_max, (None,) + SU2_Q_SET):
-        check = su2_commutator_check(rep, tolerance)
+    for name, rep in _spins((None,) + SU2_Q_SET):
+        check = su2_commutator_check(rep)
         worst = max(check.residuals.values())
         out.append(CheckResult("su2", name, check.ok,
-                               f"max residual {worst:.3e} (tol {tolerance:g})"))
+                               f"max residual {worst:.3e} (tol {TOLERANCE:g})"))
     return out
 
 
-def suite_polar(tolerance: float = 1e-10, j_max: float = 6.0) -> list[CheckResult]:
+def suite_polar() -> list[CheckResult]:
     """Polar-decomposition identities; non-PSD cells are reported as skipped."""
     out = []
-    for name, rep in _spins(j_max, (None,) + POLAR_Q_SET + (np.exp(1j * np.pi / 7),)):
-        try:
-            pol = polar_decompose(rep, tolerance)
-        except ValueError as exc:
-            out.append(CheckResult("polar", name, True, skipped=str(exc)))
+    for name, rep in _spins((None,) + POLAR_Q_SET + (np.exp(1j * np.pi / 7),)):
+        pol = polar_decompose(rep)
+        if pol.skipped:
+            out.append(CheckResult("polar", name, pol.ok, skipped=pol.skipped))
             continue
         worst = max(pol.residuals.values())
         out.append(CheckResult("polar", name, pol.ok,
-                               f"max residual {worst:.3e} (tol {tolerance:g}), "
+                               f"max residual {worst:.3e} (tol {TOLERANCE:g}), "
                                f"unitary convention {pol.convention['unitary']}"))
     return out
 
 
-def suite_weyl(n_max: int = 24) -> list[CheckResult]:
-    """Generator identities for every dimension 2..n_max."""
+def suite_weyl() -> list[CheckResult]:
+    """Generator identities for every dimension 2..24."""
     out = []
-    for n in range(2, n_max + 1):
+    for n in range(2, 25):
         pair = weyl_build(n)
         rep = weyl_check(pair)
         spec_res = shift_spectrum_residual(pair)

@@ -5,6 +5,7 @@ Exact criteria assert zero residuals through the verification suites;
 numeric criteria assert residual norms against the stated tolerances.
 """
 
+import inspect
 import time
 
 from psicalc.cli import main
@@ -21,9 +22,16 @@ def _all_pass(results) -> bool:
     return all(r.passed for r in results if not r.skipped)
 
 
+def test_suites_take_no_arguments():
+    # each suite's sizes, seeds and tolerances are fixed in its body, so the
+    # criteria below are exactly what `verify` runs
+    for name, suite in V.SUITES.items():
+        assert not inspect.signature(suite).parameters, name
+
+
 def test_criterion_01_method_agreement():
     t0 = time.time()
-    results = V.suite_method_agreement(n_top=10)
+    results = V.suite_method_agreement()
     took = time.time() - t0
     ok = _all_pass(results) and len(results) == 16
     _report("1 five-method agreement (4x4 grid, n<=10, exact)", ok, f"{took:.1f}s")
@@ -32,7 +40,7 @@ def test_criterion_01_method_agreement():
 
 def test_criterion_02_laguerre_closed_form():
     t0 = time.time()
-    results = V.suite_laguerre(n_top=10)
+    results = V.suite_laguerre()
     took = time.time() - t0
     _report("2 closed form = solve oracle + q->1 (exact)", _all_pass(results),
             f"{took:.1f}s")
@@ -41,7 +49,7 @@ def test_criterion_02_laguerre_closed_form():
 
 def test_criterion_03_binomial_identity():
     t0 = time.time()
-    results = V.suite_binomial(n_top=10)
+    results = V.suite_binomial()
     took = time.time() - t0
     ok = _all_pass(results) and len(results) == 16
     _report("3 translation identity for basic sequences (n<=10, exact)", ok,
@@ -51,7 +59,7 @@ def test_criterion_03_binomial_identity():
 
 def test_criterion_04_sheffer_identity():
     t0 = time.time()
-    results = V.suite_sheffer(n_top=8)
+    results = V.suite_sheffer()
     took = time.time() - t0
     ok = _all_pass(results) and len(results) == 48
     _report("4 translation identity for Sheffer sequences (n<=8, exact)", ok,
@@ -61,7 +69,7 @@ def test_criterion_04_sheffer_identity():
 
 def test_criterion_05_expansion_roundtrip():
     t0 = time.time()
-    results = V.suite_expansion(count=50, size=8)
+    results = V.suite_expansion()
     took = time.time() - t0
     _report("5 expansion roundtrip (50 random + dilation, N=8, exact)",
             _all_pass(results), f"{took:.1f}s")
@@ -70,7 +78,7 @@ def test_criterion_05_expansion_roundtrip():
 
 def test_criterion_06_qmutator_identity():
     t0 = time.time()
-    results = V.suite_qmutator(n_top=10)
+    results = V.suite_qmutator()
     took = time.time() - t0
     _report("6 deformed bracket identity on p_0..p_9 (exact)", _all_pass(results),
             f"{took:.1f}s")
@@ -79,7 +87,7 @@ def test_criterion_06_qmutator_identity():
 
 def test_criterion_07_nogo_witnesses():
     t0 = time.time()
-    results = V.suite_nogo(n_top=10, witness_up_to=4)
+    results = V.suite_nogo()
     took = time.time() - t0
     witness_lines = [r for r in results if "witness" in r.name]
     emitted = all("residual" in r.detail for r in witness_lines)
@@ -90,7 +98,7 @@ def test_criterion_07_nogo_witnesses():
 
 def test_criterion_08_su2_commutators():
     t0 = time.time()
-    results = V.suite_su2(tolerance=1e-10, j_max=6.0)
+    results = V.suite_su2()
     took = time.time() - t0
     ok = _all_pass(results) and len(results) == 72  # 12 spins x 6 parameter choices
     _report("8 deformed commutators <= 1e-10 (j<=6, q set + undeformed)", ok,
@@ -100,7 +108,7 @@ def test_criterion_08_su2_commutators():
 
 def test_criterion_09_polar_decomposition():
     t0 = time.time()
-    results = V.suite_polar(tolerance=1e-10, j_max=6.0)
+    results = V.suite_polar()
     took = time.time() - t0
     ran = [r for r in results if not r.skipped]
     conventions = all("convention" in r.detail for r in ran)
@@ -111,7 +119,7 @@ def test_criterion_09_polar_decomposition():
 
 def test_criterion_10_weyl_pairs():
     t0 = time.time()
-    results = V.suite_weyl(n_max=24)
+    results = V.suite_weyl()
     took = time.time() - t0
     flagged = all("zero diagonal" in r.detail for r in results)
     ok = _all_pass(results) and flagged and len(results) == 23
@@ -122,7 +130,7 @@ def test_criterion_10_weyl_pairs():
 
 def test_criterion_11_pincherle_consistency():
     t0 = time.time()
-    results = V.suite_pincherle(count=20, d_degree=8, max_degree=10)
+    results = V.suite_pincherle()
     took = time.time() - t0
     _report("11 formal derivative = commutator oracle (20 random, exact)",
             _all_pass(results), f"{took:.1f}s")

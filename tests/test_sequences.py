@@ -16,7 +16,7 @@ from psicalc.operators import (
 from psicalc.psi import classic, fibonacci, monomial, one_poly, qgauss, square
 from psicalc.ratfun import ONE, QSYM, ZERO, rf
 from psicalc.sequences import (
-    BASIC_METHODS,
+    BASIC_BUILDERS,
     basic_sequence,
     binomial_residuals,
     lowering_residuals,
@@ -32,7 +32,7 @@ GRID_DELTAS = ("derivative", "laguerre", "quadratic", "shifted")
 
 
 def test_derivative_delta_has_monomial_basis():
-    for method in BASIC_METHODS:
+    for method in BASIC_BUILDERS:
         got = basic_sequence(derivative_delta(QG), 6, method)
         assert got == tuple(monomial(n) for n in range(7))
 
@@ -60,7 +60,7 @@ def test_all_methods_agree_small_grid():
         for name in GRID_DELTAS:
             delta = delta_by_name(name, psi)
             ref = basic_sequence(delta, 6, "solve")
-            for method in ("lagrange1", "lagrange2", "rodrigues3", "rodrigues4"):
+            for method in BASIC_BUILDERS:
                 assert basic_sequence(delta, 6, method) == ref, (psi.name, name, method)
 
 
@@ -79,7 +79,11 @@ def test_method_agreement_catches_a_broken_primitive(monkeypatch, owner, name):
         return got[:-1] + [got[-1] + one_poly()]
 
     monkeypatch.setattr(owner, name, broken)
-    rows = suite_method_agreement(n_top=4)
+    # the registry holds the constructions themselves, so re-point its entry too
+    for method, build in BASIC_BUILDERS.items():
+        if build is real:
+            monkeypatch.setitem(BASIC_BUILDERS, method, broken)
+    rows = suite_method_agreement()
     assert len(rows) == 16 and not any(r.passed for r in rows)
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psicalc.su2q import (
+    SpinRep,
     _psd_sqrt,
     polar_decompose,
     q_bracket,
@@ -109,8 +110,15 @@ def test_polar_identities_grid():
 
 
 def test_polar_rejects_indefinite_modulus():
-    with pytest.raises(ValueError, match="not PSD"):
-        polar_decompose(su2_build(6, q=np.exp(1j * np.pi / 7)))
+    pol = polar_decompose(su2_build(6, q=np.exp(1j * np.pi / 7)))
+    assert pol.skipped == "modulus not PSD for this q" and pol.ok and not pol.residuals
+
+
+def test_polar_skips_non_diagonal_modulus():
+    rep = su2_build(1)
+    bent = SpinRep(rep.j2, None, rep.j3, rep.jplus + np.triu(np.ones((3, 3)), 2), rep.jminus)
+    pol = polar_decompose(bent)
+    assert pol.skipped == "not diagonal" and pol.ok and not pol.residuals
 
 
 def test_psd_sqrt_simple():
