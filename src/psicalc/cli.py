@@ -1,11 +1,17 @@
 """Command-line front end: tables, sequence dumps, and verification reports.
 
+Every command is a function `cmd_*(args)` that computes its result and
+writes nothing.  It returns `(exit code, payload, text)`: `payload` is
+what `--format json` prints, and `text` is either a list of lines or a
+`(header, rows)` table of strings.  `main` alone writes stdout: the JSON
+payload, a csv table, padded text columns, or the lines as they are.
+
 Exact commands render scalars in the canonical string form, so repeated
 invocations are byte-identical.  Exit codes: 0 for success (including a
 WITNESS verdict, which is the expected outcome of the no-go check), 1 for
 a verification failure, 2 for usage errors (an input too large for memory
 among them), and 141 (128 + SIGPIPE, what a shell reports for a tool the
-signal ends) when the reader closes stdout before the output is written,
+signal ends) when the reader closes stdout before all the output is written,
 as `psicalc ... | head -n 1` does.
 """
 
@@ -27,7 +33,6 @@ from .operators import (
     DELTA_FAMILIES,
     SHEFFER_FACTORS,
     OperatorSeries,
-    delta_by_name,
     laguerre_delta,
     scaling_matrix,
     table,
@@ -49,13 +54,6 @@ OPERATORS = {
     "number": lambda psi, dim: table(lambda p: psi_derivative(psi, p).shifted(1), dim),
     "qscale": lambda psi, dim: scaling_matrix(QSYM, dim),
 }
-
-
-def emit(text: str) -> None:
-    """Write one output block to stdout, newline-terminated."""
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
 
 
 def _load_psi(name: str) -> PsiSequence:
@@ -95,93 +93,63 @@ def _render_poly(p: Poly) -> list[str]:
     return [c.render() for c in p.coeffs]
 
 
-def _emit_rows(fmt: str, header: list[str], rows: list[list[str]], payload: dict) -> None:
-    if fmt == "json":
-        emit(json.dumps(payload))
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        emit(buf.getvalue())
-    else:
-        widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-                  for i, h in enumerate(header)]
-        emit("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for r in rows:
-            emit("  ".join(v.ljust(w) for v, w in zip(r, widths)))
-
-
-def cmd_table(args: argparse.Namespace) -> int:
-    psi = _load_psi(args.psi)
-    rows = []
-    for n in range(args.N + 1):
-        rows.append([str(n), psi.number(n).render(), psi.factorial(n).render()])
-    payload = {
-        "psi": psi.name,
-        "rows": [{"n": int(r[0]), "n_psi": r[1], "n_psi_fact": r[2]} for r in rows],
-    }
-    _emit_rows(args.format, ["n", "n_psi", "n_psi_fact"], rows, payload)
-    return 0
-
-
 def _series_json(s: OperatorSeries, N: int) -> list[str]:
     """a_0 ... a_{N+1} of s, rendered."""
     return [s.coeff(k).render() for k in range(N + 2)]
 
 
-def _sequence_payload(psi: PsiSequence, delta: OperatorSeries, N: int, polys) -> dict:
-    return {
-        "psi": psi.name,
-        "Q": _series_json(delta, N),
-        "polys": [_render_poly(p) for p in polys],
-    }
-
-
-def _emit_polys(fmt: str, payload: dict, polys) -> None:
-    if fmt == "json":
-        emit(json.dumps(payload))
-        return
-    rows = [[str(n)] + _render_poly(p) for n, p in enumerate(polys)]
-    header = ["n"] + [f"x^{k}" for k in range(max(len(r) for r in rows))]
-    rows = [r + [""] * (len(header) - len(r)) for r in rows]
-    _emit_rows(fmt, header, rows, payload)
-
-
-def cmd_basic(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> tuple:
     psi = _load_psi(args.psi)
-    delta = delta_by_name(args.Q, psi)
-    polys = basic_sequence(delta, args.N, method="solve")
-    _emit_polys(args.format, _sequence_payload(psi, delta, args.N, polys), polys)
-    return 0
+    rows = [[str(n), psi.number(n).render(), psi.factorial(n).render()]
+            for n in range(args.N + 1)]
+    payload = {
+        "psi": psi.name,
+        "rows": [{"n": n, "n_psi": a, "n_psi_fact": f} for n, (_, a, f) in enumerate(rows)],
+    }
+    return 0, payload, (["n", "n_psi", "n_psi_fact"], rows)
 
 
-def cmd_sheffer(args: argparse.Namespace) -> int:
+def _sequence(psi: PsiSequence, delta: OperatorSeries, N: int, polys, **extra) -> tuple:
+    """Payload and table of the polynomials of basic, sheffer and laguerre."""
+    payload = {"psi": psi.name, "Q": _series_json(delta, N),
+               "polys": [_render_poly(p) for p in polys], **extra}
+    rows = [[str(n), *coeffs] for n, coeffs in enumerate(payload["polys"])]
+    # The width counts the n column as a power, so the last x^k column is
+    # always empty; perfbench/refs pins these tables, so it stays for now.
+    header = ["n"] + [f"x^{k}" for k in range(max(map(len, rows)))]
+    return payload, (header, [r + [""] * (len(header) - len(r)) for r in rows])
+
+
+def _solved(args: argparse.Namespace) -> tuple:
+    """(psi, Q, basic sequence p_0 ... p_N) named by --psi, --Q and --N."""
+    psi = _load_psi(args.psi)
+    delta = DELTA_FAMILIES[args.Q](psi)
+    return psi, delta, basic_sequence(delta, args.N, method="solve")
+
+
+def cmd_basic(args: argparse.Namespace) -> tuple:
+    psi, delta, basic = _solved(args)
+    return 0, *_sequence(psi, delta, args.N, basic)
+
+
+def cmd_sheffer(args: argparse.Namespace) -> tuple:
     if args.alpha is not None and args.S != "laguerre_order":
         raise ValueError("--alpha applies only to --S laguerre_order")
-    psi = _load_psi(args.psi)
-    delta = delta_by_name(args.Q, psi)
+    psi, delta, basic = _solved(args)
     factor = SHEFFER_FACTORS[args.S](psi, args.alpha or Fraction(0))
-    polys = sheffer_sequence(factor, basic_sequence(delta, args.N, method="solve"))
-    payload = _sequence_payload(psi, delta, args.N, polys)
-    payload["S"] = _series_json(factor, args.N)
-    _emit_polys(args.format, payload, polys)
-    return 0
+    polys = sheffer_sequence(factor, basic)
+    return 0, *_sequence(psi, delta, args.N, polys, S=_series_json(factor, args.N))
 
 
-def cmd_laguerre(args: argparse.Namespace) -> int:
+def cmd_laguerre(args: argparse.Namespace) -> tuple:
     psi = qgauss()
-    delta = laguerre_delta(psi)
     polys = [q_laguerre_closed(psi, k) for k in range(args.n + 1)]
-    _emit_polys(args.format, _sequence_payload(psi, delta, args.n, polys), polys)
-    return 0
+    return 0, *_sequence(psi, laguerre_delta(psi), args.n, polys)
 
 
-def cmd_expand(args: argparse.Namespace) -> int:
-    psi = _load_psi(args.psi)
-    delta = delta_by_name(args.Q, psi)
+def cmd_expand(args: argparse.Namespace) -> tuple:
+    psi, delta, basic = _solved(args)
     op = OPERATORS[args.op](psi, args.N + 1)
-    basic = basic_sequence(delta, args.N, method="solve")
     coeff_polys = expand_operator(op, delta, basic)
     exact = reconstruct_operator(coeff_polys, delta, basic) == op
     payload = {
@@ -191,13 +159,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
         "coeff_polys": [_render_poly(p) for p in coeff_polys],
         "reconstruction_exact": exact,
     }
-    if args.format == "json":
-        emit(json.dumps(payload))
-    else:
-        for n, p in enumerate(coeff_polys):
-            emit(f"g_{n}: {_render_poly(p)}")
-        emit(f"reconstruction_exact: {exact}")
-    return 0 if exact else 1
+    lines = [f"g_{n}: {coeffs}" for n, coeffs in enumerate(payload["coeff_polys"])]
+    return (0 if exact else 1), payload, lines + [f"reconstruction_exact: {exact}"]
 
 
 def _bivar_table(p: Poly) -> list[list[str]]:
@@ -209,7 +172,7 @@ def _bivar_table(p: Poly) -> list[list[str]]:
     return out
 
 
-def cmd_nogo(args: argparse.Namespace) -> int:
+def cmd_nogo(args: argparse.Namespace) -> tuple:
     psi = _load_psi(args.psi)
     result = plane_mod.binomial_nogo(psi, args.n)
     payload = {
@@ -221,79 +184,75 @@ def cmd_nogo(args: argparse.Namespace) -> int:
         "verdict": result.verdict,
         "b0_convention": plane_mod.B0_CONVENTION,
     }
-    if args.format == "json":
-        emit(json.dumps(payload))
-    else:
-        for label in ("lhs", "rhs", "residual"):
-            emit(f"{label} (rows = x-degree, columns = y-degree):")
-            for row in payload[label]:
-                emit("  " + "  ".join(row))
-        emit(f"verdict: {result.verdict}")
-        emit(f"note: {plane_mod.B0_CONVENTION}")
-    return 0
+    lines = []
+    for label in ("lhs", "rhs", "residual"):
+        lines.append(f"{label} (rows = x-degree, columns = y-degree):")
+        lines += ["  " + "  ".join(row) for row in payload[label]]
+    return 0, payload, lines + [f"verdict: {result.verdict}",
+                                f"note: {plane_mod.B0_CONVENTION}"]
 
 
 def _matrix_json(a) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in a]
 
 
-def cmd_spin(args: argparse.Namespace) -> int:
+def cmd_spin(args: argparse.Namespace) -> tuple:
     rep = su2_build(args.j, q=args.q)
     checks = [su2_commutator_check(rep, args.tolerance), polar_decompose(rep, args.tolerance)]
     reports = [c.as_json() for c in checks]
-    if args.format == "json":
-        emit(json.dumps({
+    payload = None
+    if args.format == "json":  # the matrices are serialised only to be printed
+        payload = {
             "j3": _matrix_json(rep.j3),
             "jplus": _matrix_json(rep.jplus),
             "jminus": _matrix_json(rep.jminus),
             "reports": reports,
-        }))
-    else:
-        for report in reports:
-            emit(json.dumps(report))
-    return 0 if all(c.ok for c in checks) else 1
+        }
+    code = 0 if all(c.ok for c in checks) else 1
+    return code, payload, [json.dumps(r) for r in reports]
 
 
-def cmd_weyl(args: argparse.Namespace) -> int:
+def cmd_weyl(args: argparse.Namespace) -> tuple:
     pair = weyl_build(args.N)
     check = weyl_check(pair)
-    if args.format == "json":
-        emit(json.dumps({
+    payload = None
+    if args.format == "json":  # the matrices are serialised only to be printed
+        payload = {
             "n": pair.n,
             "sigma1": _matrix_json(pair.sigma1),
             "sigma2": _matrix_json(pair.sigma2),
             "smat": _matrix_json(pair.smat),
             "pmat": _matrix_json(pair.pmat),
             "report": check.as_json(),
-        }))
-    else:
-        emit(json.dumps(check.as_json()))
-    return 0 if check.ok else 1
+        }
+    return (0 if check.ok else 1), payload, [json.dumps(check.as_json())]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple:
     results = run_suites(args.suite)
-    for r in results:
-        emit(r.line())
     count = Counter(r.verdict for r in results)
-    emit(
-        f"summary: {len(results)} checks, {count['PASS']} passed, "
-        f"{count['FAIL']} failed, {count['SKIP']} skipped"
-    )
-    return 0 if count["FAIL"] == 0 else 1
+    summary = (f"summary: {len(results)} checks, {count['PASS']} passed, "
+               f"{count['FAIL']} failed, {count['SKIP']} skipped")
+    return (0 if count["FAIL"] == 0 else 1), None, [r.line() for r in results] + [summary]
 
 
-COMMANDS = {
-    "table": cmd_table,
-    "basic": cmd_basic,
-    "sheffer": cmd_sheffer,
-    "laguerre": cmd_laguerre,
-    "expand": cmd_expand,
-    "nogo": cmd_nogo,
-    "spin": cmd_spin,
-    "weyl": cmd_weyl,
-    "verify": cmd_verify,
-}
+def _stdout(fmt: str | None, payload, text) -> str:
+    """The stdout of one command: its payload as JSON, its table as csv or
+    padded columns, or its lines."""
+    if fmt == "json":
+        return json.dumps(payload) + "\n"
+    if isinstance(text, list):
+        # expand and nogo accept --format csv and print these same lines;
+        # kept because perfbench/refs pins them byte for byte
+        return "".join(line + "\n" for line in text)
+    header, rows = text
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        return buf.getvalue()
+    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
+    return "".join("  ".join(v.ljust(w) for v, w in zip(r, widths)) + "\n"
+                   for r in [header, *rows])
 
 
 def _parse_complex(text: str) -> complex:
@@ -344,9 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, formats=("json", "csv", "text"), fmt="text", psi=False,
+    def add(name, cmd, help_text, formats=("json", "csv", "text"), fmt="text", psi=False,
             N=None, n=None, Q=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=cmd)
         if psi:
             p.add_argument("--psi", default="qgauss",
                            help="built-in psi name or a .json table file")
@@ -360,27 +320,29 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", default=fmt, choices=formats)
         return p
 
-    add("table", "psi-number and factorial table", psi=True, N=8, fmt="csv")
-    add("basic", "basic polynomial sequence of a delta operator", psi=True, N=6, Q=True)
-    p = add("sheffer", "Sheffer sequence for a delta operator and scaling factor",
+    add("table", cmd_table, "psi-number and factorial table", psi=True, N=8, fmt="csv")
+    add("basic", cmd_basic, "basic polynomial sequence of a delta operator",
+        psi=True, N=6, Q=True)
+    p = add("sheffer", cmd_sheffer, "Sheffer sequence for a delta operator and scaling factor",
             psi=True, N=6, Q=True)
     p.add_argument("--S", default="one", choices=SHEFFER_FACTORS)
     p.add_argument("--alpha", type=_rational, default=None,
                    help="order alpha of --S laguerre_order (default 0)")
-    add("laguerre", "closed-form q-Laguerre basic polynomials", n=3)
-    p = add("expand", "expand an operator in powers of a delta operator",
+    add("laguerre", cmd_laguerre, "closed-form q-Laguerre basic polynomials", n=3)
+    p = add("expand", cmd_expand, "expand an operator in powers of a delta operator",
             psi=True, N=6, Q=True)
     p.add_argument("--op", default="qscale", choices=OPERATORS)
-    add("nogo", "two-sided deformed binomial expansion with verdict", psi=True, n=3)
-    p = add("spin", "deformed angular-momentum matrices and checks",
+    add("nogo", cmd_nogo, "two-sided deformed binomial expansion with verdict", psi=True, n=3)
+    p = add("spin", cmd_spin, "deformed angular-momentum matrices and checks",
             formats=("json", "text"))
     p.add_argument("--j", type=_rational, default=Fraction(1))
     p.add_argument("--q", type=_parse_complex, default=None,
                    help="deformation parameter re[,im]; omit for undeformed")
     p.add_argument("--tolerance", type=_tolerance, default=TOLERANCE)
-    add("weyl", "clock/shift pair, Sylvester transform and checks",
+    add("weyl", cmd_weyl, "clock/shift pair, Sylvester transform and checks",
         formats=("json", "text"), N=6)
-    p = add("verify", "run identity suites and exit 0 only if all pass", formats=())
+    p = add("verify", cmd_verify, "run identity suites and exit 0 only if all pass",
+            formats=())
     p.add_argument("--suite", action="append", default=None,
                    help="suite name or 'all' (repeatable; 'all' anywhere runs every "
                         "suite); available: "
@@ -392,7 +354,12 @@ def main(argv=None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-            code = COMMANDS[args.command](args)
+            code, payload, text = args.run(args)
+            out = _stdout(getattr(args, "format", None), payload, text)
+            # In pieces no larger than the io buffer: a larger write that the
+            # reader cuts short is dropped without an error, hiding the 141.
+            for i in range(0, len(out), io.DEFAULT_BUFFER_SIZE):
+                sys.stdout.write(out[i:i + io.DEFAULT_BUFFER_SIZE])
         except SystemExit as exc:  # argparse has printed the help or the usage error
             code = USAGE_ERROR if exc.code not in (0, None) else 0
         except (ValueError, ZeroDivisionError) as exc:

@@ -198,14 +198,6 @@ DELTA_FAMILIES: dict[str, Callable[[PsiSequence], DeltaOperator]] = {
 }
 
 
-def delta_by_name(name: str, psi: PsiSequence) -> DeltaOperator:
-    try:
-        return DELTA_FAMILIES[name](psi)
-    except KeyError:
-        known = ", ".join(sorted(DELTA_FAMILIES))
-        raise ValueError(f"unknown delta operator {name!r}; built-ins: {known}") from None
-
-
 # Invertible factors S of Sheffer sequences, called as (psi, alpha); only
 # laguerre_order reads alpha, the order of (1 - D)^(alpha+1).
 SHEFFER_FACTORS: dict[str, Callable[..., OperatorSeries]] = {

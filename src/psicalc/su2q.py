@@ -18,8 +18,11 @@ from .weyl import NumericCheck, cyclic_shift, inf_norm
 TOLERANCE = 1e-10  # default gate of both checks and of `spin --tolerance`
 
 
-def q_bracket(x: float, q: complex) -> complex:
-    """The symmetric deformed number (q^x - q^{-x})/(q - q^{-1})."""
+def q_bracket(x: float, q: complex | None) -> complex:
+    """The symmetric deformed number (q^x - q^{-x})/(q - q^{-1}); x itself
+    when q is None, the undeformed case."""
+    if q is None:
+        return complex(x)
     if q == 0 or q == 1 or q == -1:
         raise ValueError("degenerate deformation")
     qc = complex(q)
@@ -64,11 +67,6 @@ def su2_build(j, q: complex | None = None) -> SpinRep:
     dim = j2 + 1
     ms = [jf - i for i in range(dim)]
 
-    if q is None:
-        bracket = lambda x: complex(x)
-    else:
-        bracket = lambda x: q_bracket(x, q)
-
     j3 = np.diag(np.array([float(m) for m in ms], dtype=complex))
     jplus = np.zeros((dim, dim), dtype=complex)
     jminus = np.zeros((dim, dim), dtype=complex)
@@ -76,11 +74,11 @@ def su2_build(j, q: complex | None = None) -> SpinRep:
         for i in range(dim - 1):
             m_col = ms[i + 1]  # raising consumes |j, m_col>
             jplus[i, i + 1] = np.sqrt(
-                bracket(float(jf - m_col)) * bracket(float(jf + m_col + 1))
+                q_bracket(float(jf - m_col), q) * q_bracket(float(jf + m_col + 1), q)
             )
             m_top = ms[i]  # lowering consumes |j, m_top>
             jminus[i + 1, i] = np.sqrt(
-                bracket(float(jf + m_top)) * bracket(float(jf - m_top + 1))
+                q_bracket(float(jf + m_top), q) * q_bracket(float(jf - m_top + 1), q)
             )
     except (OverflowError, ZeroDivisionError):
         # q^x overflows, or q^-x divides by a q^x that underflowed to 0; the
@@ -99,12 +97,7 @@ def su2_commutator_check(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericC
     c12 = rep.j3 @ rep.jplus - rep.jplus @ rep.j3
     c13 = rep.j3 @ rep.jminus - rep.jminus @ rep.j3
     c23 = rep.jplus @ rep.jminus - rep.jminus @ rep.jplus
-    if rep.q is None:
-        target = 2 * rep.j3
-    else:
-        target = np.diag(
-            np.array([q_bracket(2 * d.real, rep.q) for d in np.diag(rep.j3)])
-        )
+    target = np.diag(np.array([q_bracket(2 * d.real, rep.q) for d in np.diag(rep.j3)]))
     residuals = {
         "j3_jplus": inf_norm(c12 - rep.jplus),
         "j3_jminus": inf_norm(c13 + rep.jminus),
@@ -141,11 +134,10 @@ def polar_decompose(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericCheck:
     come back skipped, like any modulus that is not diagonal PSD: they need
     complex square roots, or degenerate the modulus where rounding dominates.
     """
-    if rep.q is not None:
-        for k in range(1, rep.j2 + 1):
-            v = q_bracket(k, rep.q)
-            if abs(v.imag) > 1e-9 * max(1.0, abs(v)) or v.real <= 1e-9:
-                return NumericCheck("polar", _params(rep), skipped="modulus not PSD for this q")
+    for k in range(1, rep.j2 + 1):
+        v = q_bracket(k, rep.q)
+        if abs(v.imag) > 1e-9 * max(1.0, abs(v)) or v.real <= 1e-9:
+            return NumericCheck("polar", _params(rep), skipped="modulus not PSD for this q")
     guard = max(tolerance, 1e-12) * max(1.0, inf_norm(rep.jplus)) ** 2
     try:
         modulus = _psd_sqrt(rep.jplus @ rep.jminus, guard)

@@ -40,6 +40,45 @@ def test_exact_commands_deterministic(capsys, argv):
     assert out1.strip()
 
 
+ONE_PER_COMMAND = [
+    ("table", "--psi", "classic", "--N", "3"),
+    ("basic", "--psi", "classic", "--N", "3"),
+    ("sheffer", "--psi", "classic", "--S", "exp_sq", "--N", "3"),
+    ("laguerre", "--n", "2"),
+    ("expand", "--psi", "classic", "--N", "3"),
+    ("nogo", "--psi", "fibonacci", "--n", "3"),
+    ("spin", "--j", "1", "--q", "1.5"),
+    ("weyl", "--N", "3"),
+    ("verify", "--suite", "laguerre"),
+]
+
+
+@pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=lambda a: a[0])
+def test_commands_return_their_output_and_write_nothing(capsys, argv):
+    args = cli.build_parser().parse_args(list(argv))
+    assert args.run is getattr(cli, f"cmd_{argv[0]}")
+    result = args.run(args)
+    assert capsys.readouterr().out == ""
+    code, payload, text = result
+    assert code == 0
+    assert payload is None or isinstance(payload, dict)
+    if isinstance(text, tuple):
+        header, rows = text
+        assert all(len(r) == len(header) for r in rows)
+    else:
+        assert isinstance(text, list) and all(isinstance(line, str) for line in text)
+    # main writes exactly what the command returned
+    assert run_cli(capsys, *argv) == (code, cli._stdout(getattr(args, "format", None),
+                                                        payload, text))
+
+
+def test_spin_and_weyl_build_matrices_only_for_json():
+    for argv in (["spin", "--j", "1"], ["weyl", "--N", "3"]):
+        for fmt, keyed in (("text", False), ("json", True)):
+            args = cli.build_parser().parse_args(argv + ["--format", fmt])
+            assert (args.run(args)[1] is not None) is keyed
+
+
 def test_laguerre_json_matches_library(capsys):
     code, out = run_cli(capsys, "laguerre", "--n", "3", "--format", "json")
     assert code == 0
@@ -233,6 +272,21 @@ def test_closed_stdout_exits_without_a_traceback():
         [sys.executable, "-m", "psicalc", "verify", "--suite", "laguerre"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == CLOSED_STDOUT
+    assert err == b""
+
+
+def test_reader_leaving_mid_output_exits_141():
+    # 220 kB of csv, more than a pipe holds: the reader leaves after 100 bytes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "psicalc", "table", "--psi", "qgauss", "--N", "36",
+         "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(100).startswith(b"n,n_psi,n_psi_fact\n")
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

@@ -10,8 +10,8 @@ from psicalc.expansion import (
     to_basic_coords,
 )
 from psicalc.operators import (
+    DELTA_FAMILIES,
     combine,
-    delta_by_name,
     derivative_delta,
     laguerre_delta,
     scaling_matrix,
@@ -125,7 +125,7 @@ def test_mutator_eigenvalue_values():
 def test_qmutator_identity_across_grid():
     for psi in (CL, QG, fibonacci()):
         for name in ("derivative", "laguerre", "quadratic", "shifted"):
-            delta = delta_by_name(name, psi)
+            delta = DELTA_FAMILIES[name](psi)
             res = qmutator_check(delta, basic_sequence(delta, 7, "solve"))
             assert len(res) == 7
             assert not any(res), (psi.name, name, [str(r.coeffs) for r in res])

@@ -4,7 +4,6 @@ from psicalc.operators import (
     DeltaOperator,
     OperatorSeries,
     combine,
-    delta_by_name,
     derivative_delta,
     exp_series,
     exp_sq_series,
@@ -126,11 +125,6 @@ def test_laguerre_scaling_low_orders():
     assert same(laguerre_scaling(QG, -1), one_series(QG), 4)
     assert same(laguerre_scaling(QG, 0), OperatorSeries(QG, [ONE, -ONE]), 4)
     assert same(laguerre_scaling(QG, 1), OperatorSeries(QG, [ONE, rf(-2), ONE]), 4)
-
-
-def test_delta_by_name_unknown():
-    with pytest.raises(ValueError, match="built-ins"):
-        delta_by_name("nope", QG)
 
 
 def test_operator_matrix_apply_and_bounds():

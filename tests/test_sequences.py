@@ -4,8 +4,8 @@ import pytest
 
 from psicalc import sequences
 from psicalc.operators import (
+    DELTA_FAMILIES,
     OperatorSeries,
-    delta_by_name,
     derivative_delta,
     exp_sq_series,
     laguerre_delta,
@@ -45,7 +45,7 @@ def test_laguerre_first_polys():
 
 def test_invariants_on_grid_sample():
     for psi in GRID_PSIS:
-        delta = delta_by_name("laguerre", psi)
+        delta = DELTA_FAMILIES["laguerre"](psi)
         seq = basic_sequence(delta, 6, "solve")
         assert seq[0] == one_poly()
         for n, p in enumerate(seq):
@@ -58,7 +58,7 @@ def test_invariants_on_grid_sample():
 def test_all_methods_agree_small_grid():
     for psi in GRID_PSIS:
         for name in GRID_DELTAS:
-            delta = delta_by_name(name, psi)
+            delta = DELTA_FAMILIES[name](psi)
             ref = basic_sequence(delta, 6, "solve")
             for method in BASIC_BUILDERS:
                 assert basic_sequence(delta, 6, method) == ref, (psi.name, name, method)
@@ -88,7 +88,7 @@ def test_method_agreement_catches_a_broken_primitive(monkeypatch, owner, name):
 
 
 def test_solve_uses_no_series_operation(monkeypatch):
-    delta = delta_by_name("quadratic", QG)
+    delta = DELTA_FAMILIES["quadratic"](QG)
     want = basic_sequence(delta, 6, "solve")
 
     def forbidden(*args):
@@ -169,7 +169,7 @@ def test_laguerre_order_scaling_values():
 
 def test_binomial_identity_small():
     for psi in GRID_PSIS:
-        seq = basic_sequence(delta_by_name("quadratic", psi), 6, "solve")
+        seq = basic_sequence(DELTA_FAMILIES["quadratic"](psi), 6, "solve")
         assert not any(binomial_residuals(psi, seq, seq))
 
 

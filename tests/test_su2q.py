@@ -22,6 +22,11 @@ def test_bracket_small_values():
     assert abs(q_bracket(1, q) - 1) < 1e-15
 
 
+def test_bracket_without_deformation_is_the_number_itself():
+    assert q_bracket(3, None) == 3
+    assert type(q_bracket(3, None)) is complex
+
+
 def test_bracket_unit_circle_is_real_sine_ratio():
     theta = np.pi / 9
     q = np.exp(1j * theta)
