@@ -10,9 +10,10 @@ Exact commands render scalars in the canonical string form, so repeated
 invocations are byte-identical.  Exit codes: 0 for success (including a
 WITNESS verdict, which is the expected outcome of the no-go check), 1 for
 a verification failure, 2 for usage errors (an input too large for memory
-among them), and 141 (128 + SIGPIPE, what a shell reports for a tool the
-signal ends) when the reader closes stdout before all the output is written,
-as `psicalc ... | head -n 1` does.
+among them, and a verify worker process that the system killed, as the
+out-of-memory killer does), and 141 (128 + SIGPIPE, what a shell reports for
+a tool the signal ends) when the reader closes stdout before all the output
+is written, as `psicalc ... | head -n 1` does.
 """
 
 from __future__ import annotations
@@ -350,6 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _broken_pool() -> type:
+    """BrokenProcessPool, what `run_suites` raises when a suite worker dies.
+
+    An except clause evaluates this only when an exception reaches it, so
+    a command that succeeds imports the process pool only if it is verify.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+    return BrokenProcessPool
+
+
 def main(argv=None) -> int:
     try:
         try:
@@ -367,6 +378,9 @@ def main(argv=None) -> int:
             code = USAGE_ERROR
         except MemoryError:
             print("error: out of memory; try a smaller size", file=sys.stderr)
+            code = USAGE_ERROR
+        except _broken_pool() as exc:
+            print(f"error: a verify worker died: {exc}", file=sys.stderr)
             code = USAGE_ERROR
         sys.stdout.flush()
         return code

@@ -55,6 +55,11 @@ class OperatorSeries:
     psi: PsiSequence
     coeffs: list[RationalFunction] = field(repr=False)  # a_0, a_1, ...; a rule appends
     rule: Callable[[int], RationalFunction] | None = field(default=None, repr=False)
+    # the nonzero a_k of coeffs by k, ascending, kept as coeff grows the list
+    _nonzero: dict[int, RationalFunction] = field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        self._nonzero.update((k, c) for k, c in enumerate(self.coeffs) if c)
 
     def coeff(self, k: int) -> RationalFunction:
         """a_k, computed from the rule on its first read."""
@@ -66,7 +71,10 @@ class OperatorSeries:
         if self.rule is None:
             return ZERO
         while len(cs) <= k:
-            cs.append(self.rule(len(cs)))
+            c = self.rule(len(cs))
+            if c:
+                self._nonzero[len(cs)] = c
+            cs.append(c)
         return cs[k]
 
     def _same(self, other: "OperatorSeries") -> None:
@@ -74,16 +82,21 @@ class OperatorSeries:
             raise ValueError("operator series over different psi sequences")
 
     def __mul__(self, other: "OperatorSeries") -> "OperatorSeries":
+        """The product; a_k sums over the nonzero terms of the sparser operand."""
         self._same(other)
-        a, b = self.coeffs, other.coeffs
 
         def rule(k: int) -> RationalFunction:
             self.coeff(k)  # grows a rule-backed operand through index k
             other.coeff(k)
+            few, many = self._nonzero, other._nonzero
+            if len(many) < len(few):
+                few, many = many, few
             s = ZERO
-            for i in range(max(0, k + 1 - len(b)), min(k + 1, len(a))):
-                x, y = a[i], b[k - i]
-                if x and y:
+            for i, x in few.items():
+                if i > k:
+                    break
+                y = many.get(k - i)
+                if y is not None:
                     s = s + x * y
             return s
 
@@ -140,6 +153,7 @@ class DeltaOperator(OperatorSeries):
     """A series with no constant term and a nonzero linear term."""
 
     def __post_init__(self):
+        super().__post_init__()
         if self.coeff(0):
             raise ValueError("delta operator must kill constants")
         if not self.coeff(1):
@@ -166,11 +180,6 @@ def laguerre_delta(psi: PsiSequence) -> DeltaOperator:
 def quadratic_delta(psi: PsiSequence) -> DeltaOperator:
     """Q = D(1 + D); not tied to any named family, exercises generic paths."""
     return DeltaOperator(psi, [ZERO, ONE, ONE])
-
-
-def exp_series(psi: PsiSequence) -> OperatorSeries:
-    """Translation series sum_k psi_k D^k (the deformed exponential)."""
-    return OperatorSeries(psi, [], psi.value)
 
 
 def shifted_delta(psi: PsiSequence) -> DeltaOperator:

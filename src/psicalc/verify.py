@@ -6,11 +6,18 @@ them.  Exact suites demand zero residuals, numeric suites compare
 residual norms against explicit tolerances, and cells that cannot run
 (e.g. a non-PSD modulus) are listed as skipped with the reason instead
 of being dropped.
+
+`run_suites` runs the suites it is given in forked worker processes, one
+per CPU this process may use, and in-process on one CPU or where fork is
+missing; the rows come back in a fixed order either way, and
+`SUITES[name]()` is still exactly what `verify --suite name` runs.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -342,12 +349,44 @@ SUITES = {
 }
 
 
+def _run_suite(name: str) -> list[CheckResult]:
+    """The rows of one suite, looked up by name in the worker that runs it."""
+    return SUITES[name]()
+
+
 def run_suites(names=None) -> list[CheckResult]:
-    """Run the named suites in order; no names, or "all" among them, runs every suite."""
+    """Run the named suites; no names, or "all" among them, runs every suite.
+
+    The suites are independent, so they run in forked worker processes, one
+    per CPU this process may use; on one CPU, or where fork is missing, they
+    run in this process.  Either way each suite is `SUITES[name]()`, and the
+    rows come back in the order the suites are named (SUITES order for
+    "all").  A suite that raises raises here; a worker that dies raises
+    BrokenProcessPool.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     names = list(names or ["all"])
     unknown = [name for name in names if name not in SUITES and name != "all"]
     if unknown:
         known = ", ".join(SUITES)
         raise ValueError(f"unknown suite {unknown[0]!r}; available: {known}, all")
-    chosen = SUITES if "all" in names else names
-    return [r for name in chosen for r in SUITES[name]()]
+    chosen = list(SUITES) if "all" in names else names
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(len(chosen), cpus)
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        results = map(_run_suite, chosen)
+    else:
+        # a forked worker flushes the std streams it inherits when it exits,
+        # so text still buffered here would be written twice
+        sys.stdout.flush()
+        sys.stderr.flush()
+        # fork: each worker starts with the modules and SUITES of this process
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            results = list(pool.map(_run_suite, chosen))
+        finally:
+            pool.shutdown(cancel_futures=True)  # after a raise, queued suites need not run
+    return [r for rows in results for r in rows]

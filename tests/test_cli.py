@@ -1,4 +1,6 @@
 import json
+import os
+import signal
 import subprocess
 import sys
 
@@ -186,6 +188,114 @@ def test_verify_all_anywhere_runs_every_suite(capsys, monkeypatch):
     assert out.splitlines() == [f"PASS {name} stub" for name in stub] + [
         f"summary: {len(stub)} checks, {len(stub)} passed, 0 failed, 0 skipped"]
     assert run_cli(capsys, "verify", "--suite", "all", "--suite", "bogus") == (2, "")
+
+
+def usable_cpus(monkeypatch, count):
+    """Make run_suites see `count` usable CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def assert_no_child_left():
+    # waitpid(-1) fails with ECHILD only when no child, running or a zombie, is left
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+CHEAP_SUITES = ["nogo", "laguerre", "weyl", "su2"]
+
+
+def test_pooled_rows_equal_the_serial_rows_in_order(monkeypatch):
+    serial = [r for name in CHEAP_SUITES for r in verify.SUITES[name]()]
+    usable_cpus(monkeypatch, 2)
+    assert verify.run_suites(CHEAP_SUITES) == serial
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_suites_fork_workers_only_with_two_cpus(monkeypatch, cpus):
+    stub = {name: (lambda name=name: [CheckResult(name, str(os.getpid()), True)])
+            for name in verify.SUITES}
+    monkeypatch.setattr(verify, "SUITES", stub)
+    usable_cpus(monkeypatch, cpus)
+    rows = verify.run_suites(["su2", "all"])
+    assert [r.suite for r in rows] == list(stub)  # "all" anywhere: every suite, once
+    pids = {r.name for r in rows}
+    assert (pids == {str(os.getpid())}) is (cpus == 1)
+    assert_no_child_left()
+
+
+def test_unflushed_text_is_written_once(tmp_path, monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    # files, so block-buffered: the text is still in the buffer at the fork
+    out = open(tmp_path / "out.txt", "w", encoding="utf-8")
+    err = open(tmp_path / "err.txt", "w", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    print("to stdout before the suites")
+    print("to stderr before the suites", file=sys.stderr)
+    verify.run_suites(["laguerre", "nogo"])
+    out.close()
+    err.close()
+    assert (tmp_path / "out.txt").read_text() == "to stdout before the suites\n"
+    assert (tmp_path / "err.txt").read_text() == "to stderr before the suites\n"
+
+
+def test_a_failed_row_from_a_worker_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "SUITES", {
+        "ok": lambda: [CheckResult("ok", "row", True)],
+        "fails": lambda: [CheckResult("fails", "row", False, "mismatch")],
+    })
+    usable_cpus(monkeypatch, 2)
+    assert main(["verify", "--suite", "all"]) == 1
+    assert capsys.readouterr().out == (
+        "PASS ok row\nFAIL fails row: mismatch\n"
+        "summary: 2 checks, 1 passed, 1 failed, 0 skipped\n")
+    assert_no_child_left()
+
+
+def _raises(exc):
+    def suite():
+        raise exc
+    return suite
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("exc, message", [
+    (ValueError("no such cell"), "error: no such cell\n"),
+    (MemoryError(), "error: out of memory; try a smaller size\n"),
+], ids=["ValueError", "MemoryError"])
+def test_a_suite_that_raises_exits_2_in_a_worker_as_in_process(capsys, monkeypatch, cpus,
+                                                               exc, message):
+    monkeypatch.setattr(verify, "SUITES", {
+        "ok": lambda: [CheckResult("ok", "row", True)],
+        "raises": _raises(exc),
+        "also_ok": lambda: [CheckResult("also_ok", "row", True)],
+    })
+    usable_cpus(monkeypatch, cpus)
+    assert main(["verify", "--suite", "all"]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_exits_2_without_a_traceback(capsys, monkeypatch):
+    test_pid = os.getpid()
+
+    def killed():
+        if os.getpid() != test_pid:  # only ever a worker
+            os.kill(os.getpid(), signal.SIGKILL)
+        return []
+
+    monkeypatch.setattr(verify, "SUITES", {
+        "ok": lambda: [CheckResult("ok", "row", True)],
+        "killed": killed,
+    })
+    usable_cpus(monkeypatch, 2)
+    assert main(["verify", "--suite", "all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a verify worker died: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert_no_child_left()
 
 
 SHORT_PSI = "short.json"  # psi_0 ... psi_3 only, written by the test below

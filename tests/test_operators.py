@@ -5,7 +5,6 @@ from psicalc.operators import (
     OperatorSeries,
     combine,
     derivative_delta,
-    exp_series,
     exp_sq_series,
     laguerre_delta,
     laguerre_scaling,
@@ -52,6 +51,16 @@ def test_mul_then_apply_is_composition():
     g = OperatorSeries(QG, [ZERO, rf(2), ONE])
     p = monomial(5) + monomial(2)
     assert (f * g).apply(p) == f.apply(g.apply(p))
+
+
+def test_mul_with_a_one_term_operand():
+    d3 = OperatorSeries(QG, [ZERO, ZERO, ZERO, QSYM])  # q D^3
+    lag = laguerre_delta(QG)  # -(D + D^2 + ...)
+    lag.coeff(30)  # its nonzero terms now reach past every k read below
+    for p in (d3 * lag, lag * d3):
+        assert [p.coeff(k) for k in range(8)] == [ZERO] * 4 + [-QSYM] * 4
+    square = d3 * d3
+    assert [square.coeff(k) for k in range(8)] == [ZERO] * 6 + [QSYM * QSYM, ZERO]
 
 
 def test_invert_roundtrip():
@@ -108,16 +117,14 @@ def test_delta_constants_kill_and_map_x_to_constant():
         assert image.degree == 0 and image.coeffs[0]
 
 
-def test_exp_series_coefficients():
-    e = exp_series(QG)
-    assert [e.coeff(k) for k in range(6)] == [QG.value(k) for k in range(6)]
+def test_exp_sq_series_coefficients():
     e2 = exp_sq_series(QG)
     assert e2.coeff(0) == ONE and e2.coeff(2) == QG.value(1)
     assert not e2.coeff(1) and not e2.coeff(3)
 
 
 def test_builtin_series_reach_past_sixteen_terms():
-    assert exp_series(QG).coeff(17) == QG.value(17)
+    assert shifted_delta(QG).coeff(18) == QG.value(17)
     assert exp_sq_series(QG).coeff(34) == QG.value(17)
 
 

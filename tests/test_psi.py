@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psicalc.operators import exp_series
+from psicalc.operators import shifted_delta
 from psicalc.poly import Poly
 from psicalc.psi import (
     BUILTIN_PSIS,
@@ -96,9 +96,9 @@ def test_builtin_tables_grow_on_demand():
 
 @pytest.mark.parametrize("reach", [
     lambda: translate(SHORT, monomial(4)),
-    lambda: exp_series(SHORT).coeff(4),
+    lambda: shifted_delta(SHORT).coeff(5),
     lambda: psi_derivative(SHORT, monomial(4)),
-], ids=["translate", "exp_series", "psi_derivative"])
+], ids=["translate", "shifted_delta", "psi_derivative"])
 def test_reading_past_a_custom_table_is_a_value_error(reach):
     with pytest.raises(ValueError, match="beyond truncation: n=4 > N_max=3"):
         reach()
