@@ -89,29 +89,28 @@ def reconstruct_operator(
 
     `basic` must reach past the table size by however far some g_n
     raises degree beyond n (never, for a table that does not raise degree).
+    Each image T p_m = sum_{n<=m} falling(m, n) g_n(xhat_Q) p_{m-n} is built
+    once, and column j follows by writing x^j in the basic basis.
     """
     dim = len(coeff_polys)
     psi = Q.psi
     extra = max((g.degree - n for n, g in enumerate(coeff_polys) if g.coeffs), default=0)
     M = dim - 1 + max(extra, 0)
     _need(basic, M)
-    cols = []
-    for j in range(dim):
-        a = to_basic_coords(basic[: j + 1], monomial(j))
+    images = []
+    for m in range(dim):
         out = [ZERO] * (M + 1)
-        for n, g in enumerate(coeff_polys):
-            if n > j or not g.coeffs:
+        for n, g in enumerate(coeff_polys[: m + 1]):
+            if not g.coeffs:
                 continue
-            for m in range(n, j + 1):
-                am = a[m]
-                if not am:
-                    continue
-                base = am * psi.falling(m, n)
-                for t, ct in enumerate(g.coeffs):
-                    if ct:
-                        out[m - n + t] = out[m - n + t] + base * ct
-        cols.append(combine(basic, out))
-    return tuple(cols)
+            f = psi.falling(m, n)
+            for t, ct in enumerate(g.coeffs):
+                if ct:
+                    out[m - n + t] = out[m - n + t] + f * ct
+        images.append(combine(basic, out))
+    return tuple(
+        combine(images, to_basic_coords(basic[: j + 1], monomial(j))) for j in range(dim)
+    )
 
 
 def _mutator_scale(psi, polys: tuple[Poly, ...], p: Poly) -> Poly:

@@ -18,7 +18,7 @@ from psicalc.operators import (
     table,
 )
 from psicalc.poly import Poly
-from psicalc.psi import classic, fibonacci, monomial, psi_derivative, qgauss
+from psicalc.psi import BUILTIN_PSIS, by_name, classic, fibonacci, monomial, psi_derivative, qgauss
 from psicalc.ratfun import ONE, QSYM, ZERO, rf
 from psicalc.sequences import basic_sequence, q_laguerre_closed
 
@@ -91,6 +91,16 @@ def test_random_roundtrips_and_uniqueness():
         rebuilt = reconstruct_operator(coeffs, delta, basic)
         assert rebuilt == T
         assert expand_operator(rebuilt, delta, basic) == coeffs
+
+
+def test_reconstruct_degree_raising_expansion_is_xhat():
+    # g_0 = x, every other g_n = 0: the sum is xhat_Q itself, one degree up
+    coeffs = [monomial(1)] + [Poly([])] * 6
+    for psi_name in BUILTIN_PSIS:
+        for name, family in DELTA_FAMILIES.items():
+            delta = family(by_name(psi_name))
+            basic = basic_sequence(delta, 7, "solve")
+            assert reconstruct_operator(coeffs, delta, basic) == dual_xhat(basic), (psi_name, name)
 
 
 def test_truncation_exceeded():

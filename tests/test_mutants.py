@@ -55,6 +55,12 @@ def _expand_g1(real, *args):
     return gs
 
 
+def _reconstruct_g1(real, coeff_polys, *args):
+    if len(coeff_polys) > 1:
+        coeff_polys = [coeff_polys[0], coeff_polys[1] + coeff_polys[1], *coeff_polys[2:]]
+    return real(coeff_polys, *args)
+
+
 def _coords_last(real, *args):
     coords = real(*args)
     coords[-1] = coords[-1] + coords[-1]
@@ -88,6 +94,9 @@ MUTANTS = {
         lambda mp: _wrap(mp, [PsiSequence], "falling", _falling), ("laguerre",)),
     "expand_operator with g_1 doubled": (
         lambda mp: _wrap(mp, [expansion, verify], "expand_operator", _expand_g1),
+        ("expansion",)),
+    "reconstruct_operator with g_1 doubled": (
+        lambda mp: _wrap(mp, [expansion, verify], "reconstruct_operator", _reconstruct_g1),
         ("expansion",)),
     "to_basic_coords with its last coordinate doubled": (
         lambda mp: _wrap(mp, [expansion], "to_basic_coords", _coords_last),
