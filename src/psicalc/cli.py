@@ -5,6 +5,8 @@ writes nothing.  It returns `(exit code, payload, text)`: `payload` is
 what `--format json` prints, and `text` is either a list of lines or a
 `(header, rows)` table of strings.  `main` alone writes stdout: the JSON
 payload, a csv table, padded text columns, or the lines as they are.
+`COMMANDS` registers each command with its help and arguments, and `main`
+builds the parser of the named command alone.
 
 Exact commands render scalars in the canonical string form, so repeated
 invocations are byte-identical.  Exit codes: 0 for success (including a
@@ -194,7 +196,8 @@ def cmd_nogo(args: argparse.Namespace) -> tuple:
 
 
 def _matrix_json(a) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in a]
+    """[re, im] of every entry, as Python floats, in one numpy pass."""
+    return a.astype(complex, order="C").view(float).reshape(*a.shape, 2).tolist()
 
 
 def cmd_spin(args: argparse.Namespace) -> tuple:
@@ -297,57 +300,74 @@ def _rational(text: str) -> Fraction:
         ) from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+_PSI = ("--psi", {"default": "qgauss", "help": "built-in psi name or a .json table file"})
+_Q = ("--Q", {"default": "derivative", "choices": DELTA_FAMILIES})
+
+
+def _count(flag: str, default: int) -> tuple:
+    return flag, {"type": _size, "default": default}
+
+
+def _format(default: str = "text", choices=("json", "csv", "text")) -> tuple:
+    return "--format", {"default": default, "choices": choices}
+
+
+# The one definition of the CLI: name -> (command, help, arguments), each
+# argument a (flag, add_argument keywords) pair, in the order help lists them.
+COMMANDS = {
+    "table": (cmd_table, "psi-number and factorial table",
+              (_PSI, _count("--N", 8), _format("csv"))),
+    "basic": (cmd_basic, "basic polynomial sequence of a delta operator",
+              (_PSI, _count("--N", 6), _Q, _format())),
+    "sheffer": (cmd_sheffer, "Sheffer sequence for a delta operator and scaling factor",
+                (_PSI, _count("--N", 6), _Q, _format(),
+                 ("--S", {"default": "one", "choices": SHEFFER_FACTORS}),
+                 ("--alpha", {"type": _rational, "default": None,
+                              "help": "order alpha of --S laguerre_order (default 0)"}))),
+    "laguerre": (cmd_laguerre, "closed-form q-Laguerre basic polynomials",
+                 (_count("--n", 3), _format())),
+    "expand": (cmd_expand, "expand an operator in powers of a delta operator",
+               (_PSI, _count("--N", 6), _Q, _format(),
+                ("--op", {"default": "qscale", "choices": OPERATORS}))),
+    "nogo": (cmd_nogo, "two-sided deformed binomial expansion with verdict",
+             (_PSI, _count("--n", 3), _format())),
+    "spin": (cmd_spin, "deformed angular-momentum matrices and checks",
+             (_format(choices=("json", "text")),
+              ("--j", {"type": _rational, "default": Fraction(1)}),
+              ("--q", {"type": _parse_complex, "default": None,
+                       "help": "deformation parameter re[,im]; omit for undeformed"}),
+              ("--tolerance", {"type": _tolerance, "default": TOLERANCE}))),
+    "weyl": (cmd_weyl, "clock/shift pair, Sylvester transform and checks",
+             (_count("--N", 6), _format(choices=("json", "text")))),
+    "verify": (cmd_verify, "run identity suites and exit 0 only if all pass",
+               (("--suite", {"action": "append", "default": None,
+                             "help": "suite name or 'all' (repeatable; 'all' anywhere runs "
+                                     "every suite); available: " + ", ".join(SUITES)}),)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone.
+
+    With one command the help and every error it can reach read as with
+    all nine: its subparser is the same, and the top-level usage line still
+    lists every command.  The metavar that does this is set on the
+    one-command parser only: on the full tree it would rename "argument
+    command" in the missing-command and invalid-choice errors, which the
+    one-command parser cannot reach.
+    """
     parser = argparse.ArgumentParser(
         prog="psicalc",
         description="Deformed finite operator calculus tables and identity checks",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, cmd, help_text, formats=("json", "csv", "text"), fmt="text", psi=False,
-            N=None, n=None, Q=False):
+    usage = {"metavar": "{" + ",".join(COMMANDS) + "}"} if command else {}
+    sub = parser.add_subparsers(dest="command", required=True, **usage)
+    for name in [command] if command else COMMANDS:
+        run, help_text, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=cmd)
-        if psi:
-            p.add_argument("--psi", default="qgauss",
-                           help="built-in psi name or a .json table file")
-        if N is not None:
-            p.add_argument("--N", type=_size, default=N)
-        if n is not None:
-            p.add_argument("--n", type=_size, default=n)
-        if Q:
-            p.add_argument("--Q", default="derivative", choices=DELTA_FAMILIES)
-        if formats:
-            p.add_argument("--format", default=fmt, choices=formats)
-        return p
-
-    add("table", cmd_table, "psi-number and factorial table", psi=True, N=8, fmt="csv")
-    add("basic", cmd_basic, "basic polynomial sequence of a delta operator",
-        psi=True, N=6, Q=True)
-    p = add("sheffer", cmd_sheffer, "Sheffer sequence for a delta operator and scaling factor",
-            psi=True, N=6, Q=True)
-    p.add_argument("--S", default="one", choices=SHEFFER_FACTORS)
-    p.add_argument("--alpha", type=_rational, default=None,
-                   help="order alpha of --S laguerre_order (default 0)")
-    add("laguerre", cmd_laguerre, "closed-form q-Laguerre basic polynomials", n=3)
-    p = add("expand", cmd_expand, "expand an operator in powers of a delta operator",
-            psi=True, N=6, Q=True)
-    p.add_argument("--op", default="qscale", choices=OPERATORS)
-    add("nogo", cmd_nogo, "two-sided deformed binomial expansion with verdict", psi=True, n=3)
-    p = add("spin", cmd_spin, "deformed angular-momentum matrices and checks",
-            formats=("json", "text"))
-    p.add_argument("--j", type=_rational, default=Fraction(1))
-    p.add_argument("--q", type=_parse_complex, default=None,
-                   help="deformation parameter re[,im]; omit for undeformed")
-    p.add_argument("--tolerance", type=_tolerance, default=TOLERANCE)
-    add("weyl", cmd_weyl, "clock/shift pair, Sylvester transform and checks",
-        formats=("json", "text"), N=6)
-    p = add("verify", cmd_verify, "run identity suites and exit 0 only if all pass",
-            formats=())
-    p.add_argument("--suite", action="append", default=None,
-                   help="suite name or 'all' (repeatable; 'all' anywhere runs every "
-                        "suite); available: "
-                        + ", ".join(SUITES))
+        p.set_defaults(run=run)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -364,7 +384,11 @@ def _broken_pool() -> type:
 def main(argv=None) -> int:
     try:
         try:
-            args = build_parser().parse_args(argv)
+            argv = sys.argv[1:] if argv is None else list(argv)
+            # Only the named command's subparser; the full tree for help, no
+            # command or an unknown one.
+            command = argv[0] if argv and argv[0] in COMMANDS else None
+            args = build_parser(command).parse_args(argv)
             code, payload, text = args.run(args)
             out = _stdout(getattr(args, "format", None), payload, text)
             # In pieces no larger than the io buffer: a larger write that the

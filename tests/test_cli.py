@@ -4,13 +4,16 @@ import signal
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from psicalc import cli, verify
 from psicalc.cli import CLOSED_STDOUT, main
 from psicalc.psi import qgauss
 from psicalc.sequences import q_laguerre_closed
+from psicalc.su2q import su2_build
 from psicalc.verify import CheckResult
+from psicalc.weyl import weyl_build
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +82,23 @@ def test_spin_and_weyl_build_matrices_only_for_json():
         for fmt, keyed in (("text", False), ("json", True)):
             args = cli.build_parser().parse_args(argv + ["--format", fmt])
             assert (args.run(args)[1] is not None) is keyed
+
+
+def _matrix_json_per_entry(a) -> list:
+    """The reference: [re, im] of each entry, one numpy scalar at a time."""
+    return [[[float(v.real), float(v.imag)] for v in row] for row in a]
+
+
+def test_matrix_json_equals_the_per_entry_loop():
+    special = np.array([[0.0, -0.0, np.inf], [-np.inf, np.nan, 5e-324]])
+    mixed = special.astype(complex)
+    mixed.imag = special[::-1]
+    pair = weyl_build(16)
+    rep = su2_build(1.5, q=np.exp(1j * np.pi / 7))
+    for a in (special, mixed, mixed.T, special.T, np.arange(6).reshape(2, 3),
+              np.ones((2, 2), dtype=np.complex64), np.zeros((0, 3)),
+              pair.sigma1, pair.sigma2, pair.smat, pair.pmat, rep.j3, rep.jplus, rep.jminus):
+        assert json.dumps(cli._matrix_json(a)) == json.dumps(_matrix_json_per_entry(a))
 
 
 def test_laguerre_json_matches_library(capsys):
@@ -360,9 +380,54 @@ def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
     assert captured.err == "error: out of memory; try a smaller size\n"
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     assert main(["bogus-command"]) == 2
+    assert "error: argument command: invalid choice: " in capsys.readouterr().err
     assert main([]) == 2
+    assert "error: the following arguments are required: command" in capsys.readouterr().err
+
+
+PARSER_ARGV = [
+    *([name, "-h"] for name in cli.COMMANDS),
+    [], ["-h"], ["bogus"],
+    ["table", "--N", "x"],  # bad type
+    ["basic", "--Q", "nope"],  # bad choice
+    ["table", "--N"],  # missing value
+    ["table", "--N", "3", "extra"],  # unrecognized arguments, reported by the top level
+    ["basic", "sheffer"],
+]
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_one_command_parser_reads_as_the_full_tree(capsys, monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+
+    def outputs():
+        got = []
+        for argv in PARSER_ARGV:
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            got.append((argv, code, captured.out, captured.err))
+        return got
+
+    one_command = outputs()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert one_command == outputs()
+
+
+def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command) or real(command))
+    for argv in (["table", "--N", "1"], ["verify", "-h"], ["-h"], ["bogus"], []):
+        main(argv)
+    assert built == ["table", "verify", None, None, None]
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        real("table").parse_args(["basic"])
+    assert "(choose from 'table')" in capsys.readouterr().err
 
 
 def test_module_entry_point_subprocess():

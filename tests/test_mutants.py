@@ -1,13 +1,16 @@
-"""Mutation checks for the exact verify suites.
+"""Mutation checks for the exact verify suites and the random cells.
 
 Each mutant breaks one primitive in a small, plausible way, and the table
-names the exact suites that fail under it.  The tests run only those
-suites, so a mutant that a suite stops catching fails here.  Equivalent
-mutants change no value the suites can see; each is listed with the
-reason, and the test checks that its suites still pass.
+names the catchers that fail under it: the exact suites, and `cells`, the
+random-cell differential of `tests/test_random_cells.py`, which reaches
+the delta operators and psi tables that the verify grid leaves out.  The
+tests run only the listed catchers, so a mutant that a catcher stops
+catching fails here.  Equivalent mutants change no value the catchers can
+see; each is listed with the reason, and the test checks that its
+catchers still pass.
 
 Run as a script, it prints every mutant against all eight exact suites
-and exits 1 when a row differs from the table:
+and the random cells, and exits 1 when a row differs from the table:
 
     PYTHONPATH=src python tests/test_mutants.py
 
@@ -22,9 +25,11 @@ it waits for the next regeneration of the benchmark references.
 
 from __future__ import annotations
 
+import inspect
 import sys
 
 import pytest
+import test_random_cells
 
 from psicalc import expansion, psi as psi_mod, sequences, verify
 from psicalc.operators import OperatorSeries
@@ -34,6 +39,7 @@ from psicalc.ratfun import ONE
 
 EXACT_SUITES = ("methods", "laguerre", "binomial", "sheffer", "expansion", "qmutator",
                 "nogo", "pincherle")
+CATCHERS = EXACT_SUITES + ("cells",)
 
 
 def _wrap(mp, owners, name, mutate):
@@ -83,52 +89,75 @@ def _pincherle_last(real, s):
     return OperatorSeries(s.psi, [got.coeff(k) for k in range(len(s.coeffs) - 2)])
 
 
+def _solve_times_a1(mp):
+    """The triangular solve multiplies by a_1 where it should divide.
+
+    Every grid delta has a_1 = +-1, where the two agree, so no verify suite
+    sees this; the solve is edited in its source and rebuilt in its module.
+    """
+    real = inspect.getsource(sequences._basic_solve)
+    mutant = real.replace("s / (a(1) * psi.number(m + 1))", "s * a(1) / psi.number(m + 1)")
+    assert mutant != real, "the division by a_1 in _basic_solve has changed"
+    namespace = dict(vars(sequences))
+    exec(mutant, namespace)
+    mp.setitem(sequences.BASIC_BUILDERS, "solve", namespace["_basic_solve"])
+
+
 def _mutator_9(real, psi, n):
     got = real(psi, n)
     return got + ONE if n == 9 else got
 
 
-# name -> (install on a MonkeyPatch, the exact suites that fail), as measured
+# name -> (install on a MonkeyPatch, the catchers that fail), as measured;
+# a catcher is an exact suite or "cells"
 MUTANTS = {
     "falling(n, 1) + 1 for n >= 2": (
         lambda mp: _wrap(mp, [PsiSequence], "falling", _falling), ("laguerre",)),
     "expand_operator with g_1 doubled": (
-        lambda mp: _wrap(mp, [expansion, verify], "expand_operator", _expand_g1),
-        ("expansion",)),
+        lambda mp: _wrap(mp, [expansion, verify, test_random_cells], "expand_operator",
+                         _expand_g1),
+        ("expansion", "cells")),
     "reconstruct_operator with g_1 doubled": (
-        lambda mp: _wrap(mp, [expansion, verify], "reconstruct_operator", _reconstruct_g1),
-        ("expansion",)),
+        lambda mp: _wrap(mp, [expansion, verify, test_random_cells], "reconstruct_operator",
+                         _reconstruct_g1),
+        ("expansion", "cells")),
     "to_basic_coords with its last coordinate doubled": (
         lambda mp: _wrap(mp, [expansion], "to_basic_coords", _coords_last),
-        ("expansion", "qmutator")),
+        ("expansion", "qmutator", "cells")),
     "psi-binomial at (7, 3) + 1": (
         lambda mp: _wrap(mp, [PsiSequence], "binomial", _binomial_7_3),
         ("binomial", "sheffer", "nogo")),
     "translate drops its top x-row": (
         lambda mp: _wrap(mp, [psi_mod, sequences, verify], "translate", _translate_top),
-        ("binomial", "sheffer", "nogo")),
+        ("binomial", "sheffer", "nogo", "cells")),
     "pincherle drops its last term": (
         lambda mp: _wrap(mp, [OperatorSeries], "pincherle", _pincherle_last),
-        ("methods", "pincherle")),
+        ("methods", "pincherle", "cells")),
     "mutator_eigenvalue(9) + 1": (
         lambda mp: _wrap(mp, [PsiSequence], "mutator_eigenvalue", _mutator_9),
         ("qmutator", "nogo")),
+    "basic solve multiplies by a_1": (_solve_times_a1, ("cells",)),
 }
 
-# name -> (install, the suites that read the mutated value, why it is equivalent)
+# name -> (install, the catchers that read the mutated value, why it is equivalent)
 EQUIVALENT = {
     "psi-binomial with k and n - k swapped": (
         lambda mp: _wrap(mp, [PsiSequence], "binomial",
                          lambda real, psi, n, k: real(psi, n, n - k)),
-        ("binomial", "sheffer", "nogo"),
+        ("binomial", "sheffer", "nogo", "cells"),
         "C(n, k)_psi = psi_k psi_{n-k} / psi_n is symmetric in k and n - k"),
 }
 
 
-def outcome(suite: str) -> str:
-    """"pass", "FAIL" (a row failed) or "raise" (the suite raised)."""
+def outcome(catcher: str) -> str:
+    """"pass", "FAIL" (a row or an assertion failed) or "raise" (the catcher raised)."""
     try:
-        rows = verify.SUITES[suite]()
+        if catcher == "cells":
+            test_random_cells.test_random_cells()
+            return "pass"
+        rows = verify.SUITES[catcher]()
+    except AssertionError:
+        return "FAIL"
     except Exception:
         return "raise"
     return "pass" if all(r.passed for r in rows) else "FAIL"
@@ -154,15 +183,15 @@ def main() -> int:
     table = {name: (install, suites) for name, (install, suites) in MUTANTS.items()}
     table.update({name: (install, ()) for name, (install, _, _) in EQUIVALENT.items()})
     width = max(map(len, table))
-    print(" " * width + "  " + "  ".join(EXACT_SUITES))
+    print(" " * width + "  " + "  ".join(CATCHERS))
     stale = []
     for name, (install, listed) in table.items():
         with pytest.MonkeyPatch.context() as mp:
             install(mp)
-            got = [outcome(s) for s in EXACT_SUITES]
-        cells = "  ".join(g.ljust(len(s)) for g, s in zip(got, EXACT_SUITES))
-        print(f"{name.ljust(width)}  {cells}".rstrip())
-        caught = tuple(s for s, g in zip(EXACT_SUITES, got) if g != "pass")
+            got = [outcome(s) for s in CATCHERS]
+        row = "  ".join(g.ljust(len(s)) for g, s in zip(got, CATCHERS))
+        print(f"{name.ljust(width)}  {row}".rstrip())
+        caught = tuple(s for s, g in zip(CATCHERS, got) if g != "pass")
         if caught != listed:
             stale.append(f"{name}: caught by {caught}, listed {listed}")
     for name, (_, _, why) in EQUIVALENT.items():
