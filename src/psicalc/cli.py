@@ -371,16 +371,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _broken_pool() -> type:
-    """BrokenProcessPool, what `run_suites` raises when a suite worker dies.
-
-    An except clause evaluates this only when an exception reaches it, so
-    a command that succeeds imports the process pool only if it is verify.
-    """
-    from concurrent.futures.process import BrokenProcessPool
-    return BrokenProcessPool
-
-
 def main(argv=None) -> int:
     try:
         try:
@@ -402,9 +392,6 @@ def main(argv=None) -> int:
             code = USAGE_ERROR
         except MemoryError:
             print("error: out of memory; try a smaller size", file=sys.stderr)
-            code = USAGE_ERROR
-        except _broken_pool() as exc:
-            print(f"error: a verify worker died: {exc}", file=sys.stderr)
             code = USAGE_ERROR
         sys.stdout.flush()
         return code

@@ -126,6 +126,9 @@ def qmutator_check(Q: DeltaOperator, basic: tuple[Poly, ...]) -> list[Poly]:
     index-n component by ((n+1)_psi - 1)/n_psi.  Zero components are
     skipped, and the component on p_0 is always zero here (xhat_Q raises
     the index), so the undefined n = 0 eigenvalue is never evaluated.
+
+    The bracket holds only on tables with psi_1 = 1 (1_psi = 1, as on
+    every built-in table); otherwise the first residual is (1_psi - 1) p_0.
     """
     _need(basic, 1)
     psi = Q.psi

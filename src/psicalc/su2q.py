@@ -121,14 +121,19 @@ def _psd_sqrt(prod: np.ndarray, tol: float) -> np.ndarray:
     return np.diag(np.sqrt(np.clip(d.real, 0.0, None).astype(complex)))
 
 
+# J- lowers m in the basis m = j ... -j, so it sits below the diagonal, and
+# so does its unitary: the adjoint of the cyclic shift, at every j.
+POLAR_CONVENTION = {"unitary": "adjoint(sigma1)"}
+
+
 def polar_decompose(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericCheck:
-    """Split the ladder pair into positive moduli times a cyclic shift.
+    """Split the ladder pair into positive moduli times the adjoint shift.
 
     The four identities are the polar forms of J- and its adjoint partner:
     J- = u * sqrt(J+J-) = sqrt(J-J+) * u and J+ = sqrt(J+J-) * u^dag =
-    u^dag * sqrt(J-J+), with the unitary u being the cyclic shift or its
-    adjoint.  Whichever direction fits is reported; the wrap-around corner
-    of the shift is annihilated by the zero eigenvalue of the modulus.
+    u^dag * sqrt(J-J+), with u the adjoint of the cyclic shift
+    (POLAR_CONVENTION); the wrap-around corner of the shift is annihilated
+    by the zero eigenvalue of the modulus.
 
     Deformations with a non-positive interior bracket value (k up to 2j)
     come back skipped, like any modulus that is not diagonal PSD: they need
@@ -145,19 +150,13 @@ def polar_decompose(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericCheck:
     except ValueError as exc:
         return NumericCheck("polar", _params(rep), skipped=str(exc))
 
-    shift = cyclic_shift(rep.dim)
-    best = None
-    for name, u in (("sigma1", shift), ("adjoint(sigma1)", shift.conj().T)):
-        ud = u.conj().T
-        residuals = {
-            "jminus_vs_u_modulus": inf_norm(rep.jminus - u @ modulus),
-            "jminus_vs_comodulus_u": inf_norm(rep.jminus - comodulus @ u),
-            "jplus_vs_modulus_udag": inf_norm(rep.jplus - modulus @ ud),
-            "jplus_vs_udag_comodulus": inf_norm(rep.jplus - ud @ comodulus),
-        }
-        worst = max(residuals.values())
-        if best is None or worst < best[2]:
-            best = (name, residuals, worst)
-    name, residuals, worst = best
-    return NumericCheck("polar", _params(rep), residuals, {"unitary": name},
-                        worst <= tolerance)
+    ud = cyclic_shift(rep.dim)
+    u = ud.T  # the shift is real, so its adjoint is its transpose
+    residuals = {
+        "jminus_vs_u_modulus": inf_norm(rep.jminus - u @ modulus),
+        "jminus_vs_comodulus_u": inf_norm(rep.jminus - comodulus @ u),
+        "jplus_vs_modulus_udag": inf_norm(rep.jplus - modulus @ ud),
+        "jplus_vs_udag_comodulus": inf_norm(rep.jplus - ud @ comodulus),
+    }
+    return NumericCheck("polar", _params(rep), residuals, POLAR_CONVENTION,
+                        max(residuals.values()) <= tolerance)

@@ -40,12 +40,13 @@ from .psi import (
     PsiSequence,
     by_name,
     classic,
+    jackson_quotient,
     monomial,
     psi_derivative,
     qgauss,
     translate,
 )
-from .ratfun import QSYM, RationalFunction, rf
+from .ratfun import ONE, QSYM, ZERO, RationalFunction, rf
 from .sequences import (
     BASIC_BUILDERS,
     basic_sequence,
@@ -187,7 +188,10 @@ def suite_expansion() -> list[CheckResult]:
     Q = DELTA_FAMILIES["derivative"](qgauss())
     basic = basic_sequence(Q, size, "solve")
     T = scaling_matrix(QSYM, size + 1)
-    ok = reconstruct_operator(expand_operator(T, Q, basic), Q, basic) == T
+    gs = expand_operator(T, Q, basic)
+    # the closed form for Q = D_q: g_0 = 1, g_1 = (q - 1)x, every later g_n = 0
+    closed = [Poly([ONE]), Poly([ZERO, QSYM - ONE])] + [Poly()] * (size - 1)
+    ok = gs == closed and reconstruct_operator(gs, Q, basic) == T
     return [
         _exact("expansion", f"{count} random roundtrips at N={size}", failures == 0,
                f"{failures} failures"),
@@ -206,6 +210,8 @@ def suite_qmutator() -> list[CheckResult]:
     ok = all(
         psi_derivative(psi_q, xn.shifted(1)) - psi_derivative(psi_q, xn).shifted(1).scale(QSYM)
         == xn
+        # the literal q-difference quotient, an independent route to Dq
+        and jackson_quotient(xn) == psi_derivative(psi_q, xn)
         for xn in map(monomial, range(N_TOP))
     )
     out.append(_exact("qmutator", "q-case reduction Dq x - q x Dq = id", ok, "mismatch"))
@@ -362,10 +368,11 @@ def run_suites(names=None) -> list[CheckResult]:
     run in this process.  Either way each suite is `SUITES[name]()`, and the
     rows come back in the order the suites are named (SUITES order for
     "all").  A suite that raises raises here; a worker that dies raises
-    BrokenProcessPool.
+    ValueError.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     names = list(names or ["all"])
     unknown = [name for name in names if name not in SUITES and name != "all"]
@@ -387,6 +394,8 @@ def run_suites(names=None) -> list[CheckResult]:
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         try:
             results = list(pool.map(_run_suite, chosen))
+        except BrokenProcessPool as exc:
+            raise ValueError(f"a verify worker died: {exc}") from None
         finally:
             pool.shutdown(cancel_futures=True)  # after a raise, queued suites need not run
     return [r for rows in results for r in rows]

@@ -2,8 +2,8 @@
 
 For dimension n and omega = exp(2*pi*i/n): sigma1 is the cyclic shift,
 sigma2 the diagonal clock omega^Q with Q = diag(0..n-1), and the unitary
-Sylvester matrix (omega^{kl}/sqrt(n)) conjugates the clock into the shift.
-P = S^dagger Q S realizes sigma1 as omega^P.
+Sylvester matrix (omega^{kl}/sqrt(n)) conjugates the clock into the adjoint
+shift.  P = S^dagger Q S realizes sigma1^dagger as omega^P.
 
 Also home to what the numeric layer shares: the entrywise sup norm every
 residual is measured in, and the check record `su2q` and this module return.
@@ -23,7 +23,7 @@ def inf_norm(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class NumericCheck:
-    """One numeric identity check: named residual norms and the conventions found.
+    """One numeric identity check: named residual norms and the conventions tested.
 
     A check that could not run carries the reason in `skipped` and passes.
     """
@@ -124,41 +124,32 @@ WEYL_GATES = {
 }
 
 
+# The convention the construction fixes: the shift's ones
+# sit above the diagonal and the clock is diag(omega^k), so
+# sigma1 sigma2 = omega sigma2 sigma1; and (S^dagger sigma2 S)_ab =
+# (1/n) sum_k omega^{k(b-a+1)} is nonzero only at b = a-1, the adjoint shift.
+WEYL_CONVENTION = {"sign": 1, "omega_p": "adjoint(sigma1)",
+                   "p_diagonal": PRINTED_DIAGONAL_NOTE}
+
+
 def weyl_check(pair: WeylPair) -> NumericCheck:
-    """Run every generator identity and gate its residual by WEYL_GATES."""
+    """Test every generator identity in the convention WEYL_CONVENTION
+    records, and gate each residual by WEYL_GATES."""
     n = pair.n
     eye = np.eye(n, dtype=complex)
+    diff = pair.pmat - p_closed_form(n)
     res = {
         "sigma1_pow_n": inf_norm(np.linalg.matrix_power(pair.sigma1, n) - eye),
         "sigma2_pow_n": inf_norm(np.linalg.matrix_power(pair.sigma2, n) - eye),
         "s_unitary": inf_norm(pair.smat.conj().T @ pair.smat - eye),
+        "weyl_relation": inf_norm(
+            pair.sigma1 @ pair.sigma2 - pair.omega * pair.sigma2 @ pair.sigma1),
+        "omega_p_vs_shift": inf_norm(pair.omega_p - pair.sigma1.conj().T),
+        "p_offdiagonal": inf_norm(diff - np.diag(np.diag(diff))),
+        "p_diagonal": inf_norm(np.diag(pair.pmat) - (n - 1) / 2.0),
     }
-    plus = inf_norm(pair.sigma1 @ pair.sigma2 - pair.omega * pair.sigma2 @ pair.sigma1)
-    minus = inf_norm(
-        pair.sigma1 @ pair.sigma2 - np.conj(pair.omega) * pair.sigma2 @ pair.sigma1
-    )
-    # ties (n = 2, omega = -1) report the anticommutation sign
-    sign = -1 if minus <= plus else 1
-    res["weyl_relation"] = min(plus, minus)
-
-    direct = inf_norm(pair.omega_p - pair.sigma1)
-    flipped = inf_norm(pair.omega_p - pair.sigma1.conj().T)
-    if direct <= flipped:
-        convention, res["omega_p_vs_shift"] = "sigma1", direct
-    else:
-        convention, res["omega_p_vs_shift"] = "adjoint(sigma1)", flipped
-
-    closed = p_closed_form(n)
-    diff = pair.pmat - closed
-    off = diff - np.diag(np.diag(diff))
-    res["p_offdiagonal"] = inf_norm(off)
-    res["p_diagonal"] = inf_norm(np.diag(pair.pmat) - (n - 1) / 2.0)
-
-    return NumericCheck(
-        "weyl", {"n": n}, res,
-        {"sign": sign, "omega_p": convention, "p_diagonal": PRINTED_DIAGONAL_NOTE},
-        all(res[k] <= WEYL_GATES[k] for k in res),
-    )
+    return NumericCheck("weyl", {"n": n}, res, WEYL_CONVENTION,
+                        all(res[k] <= WEYL_GATES[k] for k in res))
 
 
 def shift_spectrum_residual(pair: WeylPair) -> float:

@@ -1,7 +1,7 @@
-"""Mutation checks for the exact verify suites and the random cells.
+"""Mutation checks for the verify suites and the random cells.
 
 Each mutant breaks one primitive in a small, plausible way, and the table
-names the catchers that fail under it: the exact suites, and `cells`, the
+names the catchers that fail under it: the verify suites, and `cells`, the
 random-cell differential of `tests/test_random_cells.py`, which reaches
 the delta operators and psi tables that the verify grid leaves out.  The
 tests run only the listed catchers, so a mutant that a catcher stops
@@ -9,18 +9,16 @@ catching fails here.  Equivalent mutants change no value the catchers can
 see; each is listed with the reason, and the test checks that its
 catchers still pass.
 
-Run as a script, it prints every mutant against all eight exact suites
-and the random cells, and exits 1 when a row differs from the table:
+Run as a script, it prints every mutant against every verify suite and
+the random cells, and exits 1 when a row differs from the table:
 
     PYTHONPATH=src python tests/test_mutants.py
 
-Known gap: `expansion` does not catch the `falling` mutant.  Both
-`expand_operator` and `reconstruct_operator` read `falling(m, n)` for
-n < m, so the wrong value cancels in the roundtrip.  The mutant is caught
-there only once it also changes n = 1, because `reconstruct` reads
-`falling(1, 1)` where `expand` reads `factorial(1)`.  The closed-form row
-for the q-dilation that would close the gap changes the verify report, so
-it waits for the next regeneration of the benchmark references.
+Known numeric survivor, not in the table: `su2q.q_bracket` ignoring q.
+The `su2` target is built with the same bracket as the ladders, and the
+undeformed bracket satisfies the relation too, so `su2` and `polar` both
+pass.  Catching it needs an exact bracket that does not go through
+`q_bracket`.
 """
 
 from __future__ import annotations
@@ -31,15 +29,13 @@ import sys
 import pytest
 import test_random_cells
 
-from psicalc import expansion, psi as psi_mod, sequences, verify
+from psicalc import expansion, psi as psi_mod, sequences, su2q, verify, weyl
 from psicalc.operators import OperatorSeries
 from psicalc.poly import Poly
 from psicalc.psi import PsiSequence
 from psicalc.ratfun import ONE
 
-EXACT_SUITES = ("methods", "laguerre", "binomial", "sheffer", "expansion", "qmutator",
-                "nogo", "pincherle")
-CATCHERS = EXACT_SUITES + ("cells",)
+CATCHERS = (*verify.SUITES, "cells")
 
 
 def _wrap(mp, owners, name, mutate):
@@ -89,18 +85,52 @@ def _pincherle_last(real, s):
     return OperatorSeries(s.psi, [got.coeff(k) for k in range(len(s.coeffs) - 2)])
 
 
+def _rebuilt(module, name, old, new):
+    """`module.name` rebuilt in its module from its source with `old`
+    replaced by `new`."""
+    real = inspect.getsource(getattr(module, name))
+    mutant = real.replace(old, new)
+    assert mutant != real, f"{name} no longer contains {old!r}"
+    namespace = dict(vars(module))
+    exec(mutant, namespace)
+    return namespace[name]
+
+
 def _solve_times_a1(mp):
     """The triangular solve multiplies by a_1 where it should divide.
 
     Every grid delta has a_1 = +-1, where the two agree, so no verify suite
-    sees this; the solve is edited in its source and rebuilt in its module.
+    sees this.
     """
-    real = inspect.getsource(sequences._basic_solve)
-    mutant = real.replace("s / (a(1) * psi.number(m + 1))", "s * a(1) / psi.number(m + 1)")
-    assert mutant != real, "the division by a_1 in _basic_solve has changed"
-    namespace = dict(vars(sequences))
-    exec(mutant, namespace)
-    mp.setitem(sequences.BASIC_BUILDERS, "solve", namespace["_basic_solve"])
+    mp.setitem(sequences.BASIC_BUILDERS, "solve", _rebuilt(
+        sequences, "_basic_solve",
+        "s / (a(1) * psi.number(m + 1))", "s * a(1) / psi.number(m + 1)"))
+
+
+def _conjugated_clock(mp):
+    """sigma2 = diag(omega-bar^k): the relation and omega^P flip to the
+    other convention, which a check that tried both would accept."""
+    build = _rebuilt(weyl, "weyl_build",
+                     "sigma2 = np.diag(np.exp(2j", "sigma2 = np.diag(np.exp(-2j")
+    for owner in (weyl, verify):
+        mp.setattr(owner, "weyl_build", build)
+
+
+def _corner_dropped(real, n):
+    m = real(n)
+    m[n - 1, 0] = 0
+    return m
+
+
+def _moduli_swapped(mp):
+    polar = _rebuilt(
+        su2q, "polar_decompose",
+        "modulus = _psd_sqrt(rep.jplus @ rep.jminus, guard)\n"
+        "        comodulus = _psd_sqrt(rep.jminus @ rep.jplus, guard)",
+        "modulus = _psd_sqrt(rep.jminus @ rep.jplus, guard)\n"
+        "        comodulus = _psd_sqrt(rep.jplus @ rep.jminus, guard)")
+    for owner in (su2q, verify):
+        mp.setattr(owner, "polar_decompose", polar)
 
 
 def _mutator_9(real, psi, n):
@@ -109,10 +139,10 @@ def _mutator_9(real, psi, n):
 
 
 # name -> (install on a MonkeyPatch, the catchers that fail), as measured;
-# a catcher is an exact suite or "cells"
+# a catcher is a verify suite or "cells"
 MUTANTS = {
     "falling(n, 1) + 1 for n >= 2": (
-        lambda mp: _wrap(mp, [PsiSequence], "falling", _falling), ("laguerre",)),
+        lambda mp: _wrap(mp, [PsiSequence], "falling", _falling), ("laguerre", "expansion")),
     "expand_operator with g_1 doubled": (
         lambda mp: _wrap(mp, [expansion, verify, test_random_cells], "expand_operator",
                          _expand_g1),
@@ -137,6 +167,10 @@ MUTANTS = {
         lambda mp: _wrap(mp, [PsiSequence], "mutator_eigenvalue", _mutator_9),
         ("qmutator", "nogo")),
     "basic solve multiplies by a_1": (_solve_times_a1, ("cells",)),
+    "sigma2 built from omega-bar": (_conjugated_clock, ("weyl",)),
+    "shift corner entry dropped": (
+        lambda mp: _wrap(mp, [weyl, su2q], "cyclic_shift", _corner_dropped), ("weyl",)),
+    "polar modulus and comodulus swapped": (_moduli_swapped, ("polar",)),
 }
 
 # name -> (install, the catchers that read the mutated value, why it is equivalent)

@@ -111,7 +111,15 @@ def test_polar_identities_grid():
         for q in (None, 0.5, 1.5, 2.0):
             pol = polar_decompose(su2_build(j2 / 2, q=q))
             assert pol.ok, (j2, q, pol.residuals)
-            assert pol.convention["unitary"] in ("sigma1", "adjoint(sigma1)")
+            assert pol.convention["unitary"] == "adjoint(sigma1)"
+
+
+def test_polar_fails_ladders_above_the_other_diagonal():
+    # J- above the diagonal would fit the shift itself, not its adjoint
+    rep = su2_build(3 / 2, q=1.5)
+    flipped = SpinRep(rep.j2, rep.q, rep.j3, rep.jminus, rep.jplus)
+    pol = polar_decompose(flipped)
+    assert not pol.ok and pol.convention["unitary"] == "adjoint(sigma1)"
 
 
 def test_polar_rejects_indefinite_modulus():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,12 @@ def test_dimension_two_is_pauli():
     assert inf_norm(anti) < 1e-15
 
 
-def test_reports_anticommutation_sign_for_pauli():
+def test_pauli_reports_the_fixed_convention():
+    # at n = 2, omega = -1 = omega-bar and sigma1 = sigma1^T, so the fixed
+    # convention holds there too; the anticommutation is checked above
     rep = weyl_check(weyl_build(2))
-    assert rep.convention["sign"] == -1 and rep.ok
+    assert rep.ok
+    assert (rep.convention["sign"], rep.convention["omega_p"]) == (1, "adjoint(sigma1)")
 
 
 def test_shift_has_order_n():
@@ -62,7 +67,7 @@ def test_full_report_up_to_24():
         pair = weyl_build(n)
         rep = weyl_check(pair)
         assert rep.ok, (n, rep.residuals)
-        assert rep.convention["omega_p"] == ("sigma1" if n == 2 else "adjoint(sigma1)")
+        assert rep.convention["omega_p"] == "adjoint(sigma1)"
         assert shift_spectrum_residual(pair) <= 1e-8
         assert "zero diagonal" in rep.convention["p_diagonal"]
 
@@ -71,6 +76,18 @@ def test_weyl_relation_sign():
     for n in (3, 4, 5):
         rep = weyl_check(weyl_build(n))
         assert rep.convention["sign"] == 1
+
+
+def test_conjugated_clock_fails():
+    # sigma2 = diag(omega-bar^k) satisfies the other convention; the check
+    # tests only the one weyl_build fixes
+    for n in (3, 4, 12):
+        pair = weyl_build(n)
+        sigma2 = pair.sigma2.conj()
+        omega_p = pair.smat.conj().T @ sigma2 @ pair.smat
+        rep = weyl_check(dataclasses.replace(pair, sigma2=sigma2, omega_p=omega_p))
+        assert not rep.ok
+        assert rep.residuals["weyl_relation"] > 0.5 and rep.residuals["omega_p_vs_shift"] > 0.5
 
 
 def test_small_dimension_rejected():
