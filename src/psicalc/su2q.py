@@ -1,9 +1,11 @@
 """Deformed angular-momentum matrices, their commutators, and the polar split.
 
-Representations are built directly from matrix elements in the basis that
-orders the magnetic number m = j, j-1, ..., -j down the rows.  The
-symmetric bracket (q^x - q^{-x})/(q - q^{-1}) replaces plain numbers when
-a deformation parameter is supplied.
+A spin-j representation is its table of symmetric brackets
+[k] = (q^k - q^{-k})/(q - q^{-1}) for k = 0 .. 2j (plain k when no
+deformation is supplied), in the basis that orders the magnetic number
+m = j, j-1, ..., -j down the rows.  The ladders read the finite structure
+function [n][2j+1-n] off that table, and the checks read their targets from
+it too.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ class SpinRep:
     j3: np.ndarray
     jplus: np.ndarray
     jminus: np.ndarray
+    brackets: tuple[complex, ...]  # q_bracket(k, q) for k = 0 .. 2j
 
     @property
     def dim(self) -> int:
@@ -56,35 +59,24 @@ class SpinRep:
 
 
 def su2_build(j, q: complex | None = None) -> SpinRep:
-    """Ladder matrices with elements sqrt([j-m][j+m+1]) / sqrt([j+m][j-m+1]).
+    """Ladder matrices from the bracket table: J+ carries sqrt([n][2j+1-n])
+    on the superdiagonal for n = 1 .. 2j, and J- is its transpose.
 
-    The raising operator populates the superdiagonal, the lowering one the
-    subdiagonal (the lowering element lives on the ket with m-1, as forced
-    by the commutation relations and by adjointness at real q).
+    The lowering element lives on the ket with m-1, as forced by the
+    commutation relations; J- equals the adjoint of J+ only at real q, and
+    its transpose at every q.
     """
     jf = _as_half_integer(j)
     j2 = int(jf * 2)
-    dim = j2 + 1
-    ms = [jf - i for i in range(dim)]
-
-    j3 = np.diag(np.array([float(m) for m in ms], dtype=complex))
-    jplus = np.zeros((dim, dim), dtype=complex)
-    jminus = np.zeros((dim, dim), dtype=complex)
+    j3 = np.diag(np.array([float(jf - i) for i in range(j2 + 1)], dtype=complex))
     try:
-        for i in range(dim - 1):
-            m_col = ms[i + 1]  # raising consumes |j, m_col>
-            jplus[i, i + 1] = np.sqrt(
-                q_bracket(float(jf - m_col), q) * q_bracket(float(jf + m_col + 1), q)
-            )
-            m_top = ms[i]  # lowering consumes |j, m_top>
-            jminus[i + 1, i] = np.sqrt(
-                q_bracket(float(jf + m_top), q) * q_bracket(float(jf - m_top + 1), q)
-            )
+        b = tuple(q_bracket(k, q) for k in range(j2 + 1))
     except (OverflowError, ZeroDivisionError):
-        # q^x overflows, or q^-x divides by a q^x that underflowed to 0; the
+        # q^k overflows, or q^-k divides by a q^k that underflowed to 0; the
         # largest bracket argument here, 2j, is also the largest the checks use
         raise ValueError(f"q = {q} overflows the deformed bracket at j = {jf}") from None
-    return SpinRep(j2, q, j3, jplus, jminus)
+    jplus = np.diag(np.sqrt([b[n] * b[j2 + 1 - n] for n in range(1, j2 + 1)]), 1)
+    return SpinRep(j2, q, j3, jplus, np.ascontiguousarray(jplus.T), b)
 
 
 def _params(rep: SpinRep) -> dict:
@@ -97,7 +89,8 @@ def su2_commutator_check(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericC
     c12 = rep.j3 @ rep.jplus - rep.jplus @ rep.j3
     c13 = rep.j3 @ rep.jminus - rep.jminus @ rep.j3
     c23 = rep.jplus @ rep.jminus - rep.jminus @ rep.jplus
-    target = np.diag(np.array([q_bracket(2 * d.real, rep.q) for d in np.diag(rep.j3)]))
+    b = rep.brackets  # [2m] for m = j .. -j, with [-x] = -[x]
+    target = np.diag([b[x] if x >= 0 else -b[-x] for x in range(rep.j2, -rep.j2 - 1, -2)])
     residuals = {
         "j3_jplus": inf_norm(c12 - rep.jplus),
         "j3_jminus": inf_norm(c13 + rep.jminus),
@@ -139,8 +132,7 @@ def polar_decompose(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericCheck:
     come back skipped, like any modulus that is not diagonal PSD: they need
     complex square roots, or degenerate the modulus where rounding dominates.
     """
-    for k in range(1, rep.j2 + 1):
-        v = q_bracket(k, rep.q)
+    for v in rep.brackets[1:]:
         if abs(v.imag) > 1e-9 * max(1.0, abs(v)) or v.real <= 1e-9:
             return NumericCheck("polar", _params(rep), skipped="modulus not PSD for this q")
     guard = max(tolerance, 1e-12) * max(1.0, inf_norm(rep.jplus)) ** 2

@@ -55,7 +55,7 @@ from .sequences import (
     sheffer_sequence,
 )
 from .su2q import TOLERANCE, polar_decompose, su2_build, su2_commutator_check
-from .weyl import shift_spectrum_residual, weyl_build, weyl_check
+from .weyl import WEYL_GATES, shift_spectrum_residual, weyl_build, weyl_check
 
 PSI_GRID = tuple(BUILTIN_PSIS)
 DELTA_GRID = tuple(DELTA_FAMILIES)
@@ -332,7 +332,7 @@ def suite_weyl() -> list[CheckResult]:
         rep = weyl_check(pair)
         spec_res = shift_spectrum_residual(pair)
         out.append(CheckResult(
-            "weyl", f"n={n}", rep.ok and spec_res <= 1e-8,
+            "weyl", f"n={n}", rep.ok and spec_res <= WEYL_GATES["shift_spectrum"],
             f"sign={rep.convention['sign']:+d}, omega^P={rep.convention['omega_p']}, "
             f"worst residual {max(rep.residuals.values()):.3e}, "
             f"shift spectrum {spec_res:.3e}; {rep.convention['p_diagonal']}",

@@ -46,10 +46,8 @@ class NumericCheck:
 
 def cyclic_shift(n: int) -> np.ndarray:
     """Ones on the superdiagonal plus a bottom-left corner entry."""
-    m = np.zeros((n, n), dtype=complex)
-    for i in range(n - 1):
-        m[i, i + 1] = 1.0
-    m[n - 1, 0] = 1.0
+    m = np.eye(n, k=1, dtype=complex)
+    m[-1, 0] = 1.0
     return m
 
 
@@ -99,11 +97,10 @@ def p_closed_form(n: int) -> np.ndarray:
     diagonal, which contradicts trace preservation under conjugation.
     """
     omega = np.exp(2j * np.pi / n)
-    out = np.full((n, n), (n - 1) / 2.0, dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                out[a, b] = 1.0 / (omega ** (b - a) - 1.0)
+    k = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 1/0 on the diagonal, overwritten
+        out = 1.0 / (omega ** -np.subtract.outer(k, k) - 1.0)  # omega^{col-row}
+    np.fill_diagonal(out, (n - 1) / 2.0)
     return out
 
 
@@ -112,7 +109,8 @@ PRINTED_DIAGONAL_NOTE = (
     "commonly printed zero diagonal deviates from S^dagger Q S"
 )
 
-# the gate on each weyl_check residual, in report order
+# the gate on each weyl_check residual, in report order, and on
+# shift_spectrum_residual, which verify's weyl suite adds
 WEYL_GATES = {
     "sigma1_pow_n": 1e-10,
     "sigma2_pow_n": 1e-10,
@@ -121,6 +119,7 @@ WEYL_GATES = {
     "omega_p_vs_shift": 1e-8,
     "p_offdiagonal": 1e-10,
     "p_diagonal": 1e-10,
+    "shift_spectrum": 1e-8,
 }
 
 

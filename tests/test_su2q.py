@@ -1,9 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from psicalc.su2q import (
-    SpinRep,
     _psd_sqrt,
     polar_decompose,
     q_bracket,
@@ -59,10 +60,16 @@ def test_spin_one_undeformed():
 
 
 def test_structure_of_ladders():
-    rep = su2_build(2, q=0.5)
-    assert inf_norm(np.tril(rep.jplus)) == 0
-    assert inf_norm(np.triu(rep.jminus)) == 0
-    assert inf_norm(rep.jminus - rep.jplus.conj().T) < 1e-12
+    # J- is the transpose of J+ at every q, complex ones included, where it
+    # differs from the adjoint; both are read off the one bracket table
+    for j2 in range(1, 13):
+        for q in (None,) + Q_SET:
+            rep = su2_build(j2 / 2, q=q)
+            assert inf_norm(np.tril(rep.jplus)) == 0
+            assert inf_norm(np.triu(rep.jminus)) == 0
+            assert np.array_equal(rep.jminus, rep.jplus.T), (j2, q)
+            assert len(rep.brackets) == j2 + 1
+            assert all(rep.brackets[k] == q_bracket(k, q) for k in range(j2 + 1)), (j2, q)
 
 
 def test_commutators_spin_half_exact():
@@ -117,7 +124,7 @@ def test_polar_identities_grid():
 def test_polar_fails_ladders_above_the_other_diagonal():
     # J- above the diagonal would fit the shift itself, not its adjoint
     rep = su2_build(3 / 2, q=1.5)
-    flipped = SpinRep(rep.j2, rep.q, rep.j3, rep.jminus, rep.jplus)
+    flipped = dataclasses.replace(rep, jplus=rep.jminus, jminus=rep.jplus)
     pol = polar_decompose(flipped)
     assert not pol.ok and pol.convention["unitary"] == "adjoint(sigma1)"
 
@@ -129,7 +136,7 @@ def test_polar_rejects_indefinite_modulus():
 
 def test_polar_skips_non_diagonal_modulus():
     rep = su2_build(1)
-    bent = SpinRep(rep.j2, None, rep.j3, rep.jplus + np.triu(np.ones((3, 3)), 2), rep.jminus)
+    bent = dataclasses.replace(rep, jplus=rep.jplus + np.triu(np.ones((3, 3)), 2))
     pol = polar_decompose(bent)
     assert pol.skipped == "not diagonal" and pol.ok and not pol.residuals
 

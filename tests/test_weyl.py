@@ -32,6 +32,31 @@ def test_pauli_reports_the_fixed_convention():
     assert (rep.convention["sign"], rep.convention["omega_p"]) == (1, "adjoint(sigma1)")
 
 
+# entrywise references for the whole-array builders
+def _shift_by_entries(n):
+    m = np.zeros((n, n), dtype=complex)
+    for i in range(n - 1):
+        m[i, i + 1] = 1.0
+    m[n - 1, 0] = 1.0
+    return m
+
+
+def _p_by_entries(n):
+    omega = np.exp(2j * np.pi / n)
+    out = np.full((n, n), (n - 1) / 2.0, dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                out[a, b] = 1.0 / (omega ** (b - a) - 1.0)
+    return out
+
+
+def test_whole_array_builders_match_entrywise_loops():
+    for n in list(range(2, 25)) + [256]:
+        assert np.array_equal(cyclic_shift(n), _shift_by_entries(n)), n
+        assert np.array_equal(p_closed_form(n), _p_by_entries(n)), n
+
+
 def test_shift_has_order_n():
     for n in (3, 5, 8):
         assert inf_norm(np.linalg.matrix_power(cyclic_shift(n), n) - np.eye(n)) == 0
