@@ -4,7 +4,9 @@ Every command is a function `cmd_*(args)` that computes its result and
 writes nothing.  It returns `(exit code, payload, text)`: `payload` is
 what `--format json` prints, and `text` is either a list of lines or a
 `(header, rows)` table of strings.  `main` alone writes stdout: the JSON
-payload, a csv table, padded text columns, or the lines as they are.
+payload, a csv table, padded text columns, or the lines as they are.  A
+payload value may be JSON text rendered ahead (`JSONText`): `spin` and
+`weyl` render each matrix straight to text, one distinct float at a time.
 `COMMANDS` registers each command with its help and arguments, and `main`
 builds the parser of the named command alone.
 
@@ -195,9 +197,33 @@ def cmd_nogo(args: argparse.Namespace) -> tuple:
                                 f"note: {plane_mod.B0_CONVENTION}"]
 
 
-def _matrix_json(a) -> list:
-    """[re, im] of every entry, as Python floats, in one numpy pass."""
-    return a.astype(complex, order="C").view(float).reshape(*a.shape, 2).tolist()
+class JSONText(str):
+    """A payload value that is already JSON text; `_stdout` writes it as it is."""
+
+
+def _matrix_json(a) -> JSONText:
+    """The JSON text of [re, im] of every entry of the 2-D array `a`.
+
+    The bytes are those of `json.dumps` over the per-entry lists.  Each
+    distinct float is written once, by one `json.dumps` over the distinct
+    values, so json itself spells NaN, Infinity and 5e-324.  Distinct means
+    distinct bits: `np.unique` on the values would merge -0.0 with 0.0 and
+    every NaN with the others.
+    """
+    import numpy as np  # only spin and weyl print matrices
+
+    c = a.astype(complex, order="C")
+    floats, index = np.unique(c.reshape(-1).view(np.int64), return_inverse=True)
+    texts = np.array(json.dumps(floats.view(float).tolist())[1:-1].split(", "), dtype=object)
+    # Each entry is the four pieces re ", " im "], [", joined a row at a
+    # time; the last piece of a row is dropped for its closing brackets.
+    cells = np.empty((*c.shape, 4), dtype=object)
+    cells[..., 0::2] = texts[index].reshape(*c.shape, 2)
+    cells[..., 1] = ", "
+    cells[..., 3] = "], ["
+    rows = cells.reshape(c.shape[0], 4 * c.shape[1]).tolist()
+    return JSONText("[" + ", ".join(["[[" + "".join(r[:-1]) + "]]" if r else "[]"
+                                     for r in rows]) + "]")
 
 
 def cmd_spin(args: argparse.Namespace) -> tuple:
@@ -242,9 +268,17 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
 
 def _stdout(fmt: str | None, payload, text) -> str:
     """The stdout of one command: its payload as JSON, its table as csv or
-    padded columns, or its lines."""
+    padded columns, or its lines.
+
+    The payload is a dict.  A value that is `JSONText` is already rendered
+    and goes in as it is; every other value goes through `json.dumps`.  The
+    text equals `json.dumps` of the payload with each `JSONText` value
+    replaced by the object it encodes.
+    """
     if fmt == "json":
-        return json.dumps(payload) + "\n"
+        items = (json.dumps(k) + ": " + (v if isinstance(v, JSONText) else json.dumps(v))
+                 for k, v in payload.items())
+        return "{" + ", ".join(items) + "}\n"
     if isinstance(text, list):
         # expand and nogo accept --format csv and print these same lines;
         # kept because perfbench/refs pins them byte for byte

@@ -68,13 +68,13 @@ def su2_build(j, q: complex | None = None) -> SpinRep:
     """
     jf = _as_half_integer(j)
     j2 = int(jf * 2)
-    j3 = np.diag(np.array([float(jf - i) for i in range(j2 + 1)], dtype=complex))
-    try:
+    try:  # before any (2j+1)^2 matrix, so an overflowing q fails as such
         b = tuple(q_bracket(k, q) for k in range(j2 + 1))
     except (OverflowError, ZeroDivisionError):
         # q^k overflows, or q^-k divides by a q^k that underflowed to 0; the
         # largest bracket argument here, 2j, is also the largest the checks use
         raise ValueError(f"q = {q} overflows the deformed bracket at j = {jf}") from None
+    j3 = np.diag(np.array([float(jf - i) for i in range(j2 + 1)], dtype=complex))
     jplus = np.diag(np.sqrt([b[n] * b[j2 + 1 - n] for n in range(1, j2 + 1)]), 1)
     return SpinRep(j2, q, j3, jplus, np.ascontiguousarray(jplus.T), b)
 

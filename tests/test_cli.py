@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import signal
 import subprocess
@@ -93,12 +94,38 @@ def test_matrix_json_equals_the_per_entry_loop():
     special = np.array([[0.0, -0.0, np.inf], [-np.inf, np.nan, 5e-324]])
     mixed = special.astype(complex)
     mixed.imag = special[::-1]
+    # a NaN whose payload differs from np.nan's; json spells both NaN
+    payload_nan = np.array([[np.nan, np.int64(0x7FF8000000000123).view(float)]])
+    imag_zero = np.array([[1 - 0j, complex(1, -0.0)], [complex(-0.0, 0.0), 0j]])
+    rng = np.random.default_rng(0)
+    distinct = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     pair = weyl_build(16)
     rep = su2_build(1.5, q=np.exp(1j * np.pi / 7))
     for a in (special, mixed, mixed.T, special.T, np.arange(6).reshape(2, 3),
-              np.ones((2, 2), dtype=np.complex64), np.zeros((0, 3)),
+              np.ones((2, 2), dtype=np.complex64), np.zeros((0, 3)), np.zeros((0, 0)),
+              np.zeros((3, 0)), np.array([[2.5 - 1j]]), np.asfortranarray(mixed),
+              payload_nan, imag_zero, distinct, np.full((64, 64), -0.5 + 0.25j),
               pair.sigma1, pair.sigma2, pair.smat, pair.pmat, rep.j3, rep.jplus, rep.jminus):
-        assert json.dumps(cli._matrix_json(a)) == json.dumps(_matrix_json_per_entry(a))
+        assert cli._matrix_json(a) == json.dumps(_matrix_json_per_entry(a))
+
+
+SPIN_Q = (None, "0.5", "1.5", "2.0",  # the --q values of the numeric benchmark workload
+          f"{math.cos(math.pi / 7)!r},{math.sin(math.pi / 7)!r}", "1.0000001")
+NUMERIC_ARGV = [
+    *(["spin", "--j", j, *(["--q", q] if q else []), "--format", "json"]
+      for j in ("1/2", "3/2", "7", "20") for q in SPIN_Q),
+    *(["weyl", "--N", n, "--format", "json"] for n in ("2", "3", "16", "64")),
+]
+
+
+@pytest.mark.parametrize("argv", NUMERIC_ARGV, ids=" ".join)
+def test_numeric_json_equals_the_per_entry_payload(capsys, monkeypatch, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_matrix_json", _matrix_json_per_entry)
+    args = cli.build_parser().parse_args(argv)
+    ref_code, payload, _ = args.run(args)
+    assert (code, out) == (ref_code, json.dumps(payload) + "\n")
 
 
 def test_laguerre_json_matches_library(capsys):
@@ -352,13 +379,15 @@ def test_bad_input_exits_2_with_empty_stdout(capsys, tmp_path, monkeypatch, argv
     assert SHORT_PSI not in argv or "beyond truncation" in captured.err
 
 
-@pytest.mark.parametrize("q", ["1e200", "1e-300"])
-def test_spin_bracket_overflow_is_a_usage_error(capsys, q):
-    # q^2 overflows at 1e200 and underflows to 0 at 1e-300
-    assert main(["spin", "--j", "1", "--q", q]) == 2
+@pytest.mark.parametrize("j, q", [("1", "1e200"), ("1", "1e-300"), ("20000", "2")],
+                         ids=["1e200", "1e-300", "j20000-2"])
+def test_spin_bracket_overflow_is_a_usage_error(capsys, j, q):
+    # q^2 overflows at 1e200 and underflows to 0 at 1e-300; 2^k overflows at
+    # k > 1023, which fails before the 40001^2 matrices would be allocated
+    assert main(["spin", "--j", j, "--q", q]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "overflows the deformed bracket at j = 1" in captured.err
+    assert f"overflows the deformed bracket at j = {j}\n" in captured.err
 
 
 def test_basic_at_n_zero_needs_no_series_order(capsys):
