@@ -18,7 +18,7 @@ from __future__ import annotations
 from .operators import DeltaOperator, combine
 from .poly import Poly
 from .psi import monomial
-from .ratfun import ZERO, RationalFunction
+from .ratfun import ZERO, RationalFunction, dot
 
 
 def _need(basic: tuple[Poly, ...], n: int) -> None:
@@ -27,16 +27,20 @@ def _need(basic: tuple[Poly, ...], n: int) -> None:
 
 
 def to_basic_coords(polys: tuple[Poly, ...], p: Poly) -> list[RationalFunction]:
-    """Coordinates of p in the (triangular) basic basis."""
+    """Coordinates of p in the triangular basic basis (polys[d] of degree d).
+
+    A back-substitution from the top degree: the x^d coefficient of p less
+    that of the coordinates above d, over the lead of polys[d].
+    """
+    cs = p.coeffs
+    if len(cs) > len(polys):
+        raise ValueError(f"degree {p.degree} exceeds basis of size {len(polys)}")
     coords = [ZERO] * len(polys)
-    rem = p
-    while rem.coeffs:
-        d = rem.degree
-        if d >= len(polys):
-            raise ValueError(f"degree {d} exceeds basis of size {len(polys)}")
-        c = rem.coeffs[-1] / polys[d].coeffs[-1]
-        coords[d] = c
-        rem = rem - polys[d].scale(c)
+    for d in range(len(cs) - 1, -1, -1):
+        above = range(d + 1, len(cs))
+        s = cs[d] - dot([coords[j] for j in above], [polys[j].coeffs[d] for j in above])
+        if s:
+            coords[d] = s / polys[d].coeffs[d]
     return coords
 
 
@@ -68,16 +72,13 @@ def expand_operator(
     for m in range(N + 1):
         # the index-m pivot is falling(m, m) = m_psi!
         fact = psi.factorial(m)
-        row = [ZERO] * (N + 1)
+        falls = [psi.falling(m, n) if any(coeff_rows[n]) else ZERO for n in range(m)]
+        row = []
         for i in range(N + 1):
-            s = images[m][i]
-            for n in range(m):
-                idx = i - m + n
-                if 0 <= idx <= N:
-                    c = coeff_rows[n][idx]
-                    if c:
-                        s = s - psi.falling(m, n) * c
-            row[i] = s / fact
+            # g_n's coefficient i - m + n, for the n < m where it exists
+            ns = range(max(m - i, 0), m)
+            s = images[m][i] - dot([falls[n] for n in ns], [coeff_rows[n][i - m + n] for n in ns])
+            row.append(s / fact)
         coeff_rows.append(row)
     return [Poly(row) for row in coeff_rows]
 
@@ -99,14 +100,11 @@ def reconstruct_operator(
     _need(basic, M)
     images = []
     for m in range(dim):
-        out = [ZERO] * (M + 1)
-        for n, g in enumerate(coeff_polys[: m + 1]):
-            if not g.coeffs:
-                continue
-            f = psi.falling(m, n)
-            for t, ct in enumerate(g.coeffs):
-                if ct:
-                    out[m - n + t] = out[m - n + t] + f * ct
+        gs = coeff_polys[: m + 1]
+        falls = [psi.falling(m, n) if g else ZERO for n, g in enumerate(gs)]
+        # the p_j component of T p_m: g_n's coefficient j - m + n, summed over n
+        out = [dot(falls, [g.coeff(j - m + n, ZERO) for n, g in enumerate(gs)])
+               for j in range(M + 1)]
         images.append(combine(basic, out))
     return tuple(
         combine(images, to_basic_coords(basic[: j + 1], monomial(j))) for j in range(dim)

@@ -18,28 +18,22 @@ from typing import Callable, Sequence
 
 from .poly import Poly
 from .psi import PsiSequence, monomial, psi_derivative, xhat_psi
-from .ratfun import ONE, ZERO, RationalFunction, rf
+from .ratfun import ONE, ZERO, RationalFunction, dot, rf
 
 
 def combine(polys: Sequence[Poly], coeffs: Sequence) -> Poly:
-    """sum_k coeffs[k] * polys[k] in one pass; zero coefficients are skipped.
+    """sum_k coeffs[k] * polys[k], each coefficient one `dot`.
 
     Applying a table to p is combine(table, p.coeffs), so more coefficients
     than polynomials means p lies outside the table's domain.
     """
     if len(coeffs) > len(polys):
         raise ValueError(f"{len(coeffs)} coefficients for {len(polys)} polynomials")
-    out: list = []
-    for p, c in zip(polys, coeffs):
-        if not c:
-            continue
-        for i, a in enumerate(p.coeffs):
-            t = a * c
-            if i < len(out):
-                out[i] = out[i] + t
-            else:
-                out.append(t)
-    return Poly(out)
+    terms = [(p.coeffs, c) for p, c in zip(polys, coeffs) if c and p.coeffs]
+    cs = [c for _, c in terms]
+    width = max((len(p) for p, _ in terms), default=0)
+    return Poly([dot(cs, [p[i] if i < len(p) else ZERO for p, _ in terms])
+                 for i in range(width)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,14 +85,8 @@ class OperatorSeries:
             few, many = self._nonzero, other._nonzero
             if len(many) < len(few):
                 few, many = many, few
-            s = ZERO
-            for i, x in few.items():
-                if i > k:
-                    break
-                y = many.get(k - i)
-                if y is not None:
-                    s = s + x * y
-            return s
+            idx = [i for i in few if i <= k]
+            return dot([few[i] for i in idx], [many.get(k - i, ZERO) for i in idx])
 
         return OperatorSeries(self.psi, [], rule)
 
@@ -113,11 +101,8 @@ class OperatorSeries:
 
         def rule(k: int) -> RationalFunction:
             self.coeff(k)
-            s = ZERO
-            for i in range(1, min(k + 1, len(a))):
-                ai = a[i]
-                if ai and out[k - i]:
-                    s = s + ai * out[k - i]
+            top = min(k + 1, len(a))
+            s = dot(a[1:top], [out[k - i] for i in range(1, top)])
             return -(s * inv0) if s else ZERO
 
         return OperatorSeries(self.psi, out, rule)
@@ -132,16 +117,14 @@ class OperatorSeries:
         return OperatorSeries(self.psi, [], lambda k: self.coeff(k + 1) * (k + 1))
 
     def apply(self, p: Poly) -> Poly:
-        """Act on a polynomial, reading a_0 ... a_deg(p); exact because D lowers degree."""
-        acc = Poly()
-        d = p
-        for k in range(p.degree + 1):
-            if k:
-                d = psi_derivative(self.psi, d)
-            a = self.coeff(k)
-            if a:
-                acc = acc + d.scale(a)
-        return acc
+        """Act on a polynomial, reading a_0 ... a_deg(p); exact because D lowers degree.
+
+        The image is combine([p, D p, D^2 p, ...], [a_0, a_1, a_2, ...]).
+        """
+        derivatives = [p] if p else []
+        for _ in range(p.degree):
+            derivatives.append(psi_derivative(self.psi, derivatives[-1]))
+        return combine(derivatives, [self.coeff(k) for k in range(len(derivatives))])
 
 
 def one_series(psi: PsiSequence) -> OperatorSeries:

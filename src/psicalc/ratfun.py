@@ -10,6 +10,11 @@ all arithmetic runs on Python ints; a ``Fraction`` appears only at the edge
 equality is syntactic.  Polynomial gcds use the heuristic gcd GCDHEU (Char,
 Geddes and Gonnet, J. Symbolic Comput. 8 (1989) 31-48), which also returns
 the cofactors, so cancelling a common factor needs no second division.
+``dot(xs, ys)`` is the one fused operation: the sum of products x*y, with
+the constant terms over one integer lcm and the others over one Z[q]
+denominator, canonicalised once at the end.  Every partial sum is an exact
+value, only not yet canonical, and the canonical form is unique, so ``dot``
+equals the left-to-right sum of ``+`` and ``*`` and renders the same text.
 ``parse_ratfun`` reads the text form back in one left-to-right pass.
 """
 
@@ -313,6 +318,76 @@ class RationalFunction:
         if b == 1 and self._den == _I1:
             return ns
         return f"({ns})/({_int_poly_str([b * c for c in self._den])})"
+
+
+def dot(xs, ys) -> RationalFunction:
+    """The exact sum of x*y over zip(xs, ys) of RationalFunction values.
+
+    Constant terms (num = den = 1) add into one integer numerator over the
+    running lcm of their denominators.  The other terms add into one
+    integer polynomial over an integer times one primitive Z[q]
+    denominator, the lcm of the terms' denominators, which takes a gcd only
+    when a term brings a new one; a term's own factors cancel crosswise as
+    in ``*``.  Nothing is canonicalised until the end, where one gcd
+    cancels the numerator against that denominator.  The canonical form is
+    unique, so the value equals the left-to-right sum of + and *.
+    """
+    top, bottom = 0, 1  # the constant terms sum to top/bottom
+    num, scale, den = [], 1, _I1  # the others sum to num/(scale*den)
+    for x, y in zip(xs, ys):
+        a1, a2 = x._a, y._a
+        if not a1 or not a2:
+            continue
+        n1, d1, n2, d2 = x._num, x._den, y._num, y._den
+        a, b = a1 * a2, x._b * y._b
+        if len(n1) == len(d1) == len(n2) == len(d2) == 1:
+            if b == bottom:
+                top += a
+            else:
+                g = _igcd(bottom, b)
+                top = top * (b // g) + a * (bottom // g)
+                bottom = bottom // g * b
+            continue
+        if len(n1) > 1 and len(d2) > 1:
+            _, n1, d2 = _gcd_poly(n1, d2)
+        if len(n2) > 1 and len(d1) > 1:
+            _, n2, d1 = _gcd_poly(n2, d1)
+        n, d = _mul(n1, n2), _mul(d1, d2)
+        if not num:
+            num, scale, den = [a * c for c in n], b, d
+            continue
+        g = _igcd(scale, b)
+        u, v = b // g, a * (scale // g)
+        scale = scale // g * b
+        if d == den:
+            num = _combine(u, num, v, n)
+        elif len(d) == 1:
+            num = _combine(u, num, v, _mul(n, den))
+        else:
+            if len(den) == 1:
+                dt, td = den, d
+            else:
+                _, dt, td = _gcd_poly(den, d)
+            num = _combine(u, _mul(num, td), v, _mul(n, dt))
+            den = _mul(den, td)
+        if not num:
+            scale, den = 1, _I1
+    if not num:
+        if not top:
+            return ZERO
+        g = _igcd(top, bottom)
+        return _new(top // g, bottom // g, _I1, _I1)
+    if top:
+        g = _igcd(scale, bottom)
+        num = _combine(bottom // g, num, top * (scale // g), den)
+        scale = scale // g * bottom
+        if not num:
+            return ZERO
+    k, num = _primitive(num)
+    if len(num) > 1 and len(den) > 1:
+        _, num, den = _gcd_poly(num, den)
+    g = _igcd(k, scale)
+    return _new(k // g, scale // g, num, den)
 
 
 def _new(a: int, b: int, num: tuple, den: tuple) -> RationalFunction:

@@ -18,7 +18,7 @@ from math import comb
 from .operators import DeltaOperator, OperatorSeries, one_series
 from .poly import Poly
 from .psi import PsiSequence, monomial, one_poly, translate, xhat_psi
-from .ratfun import ZERO, RationalFunction
+from .ratfun import ZERO, RationalFunction, dot
 
 def basic_sequence(Q: DeltaOperator, n_top: int, method: str = "solve") -> tuple[Poly, ...]:
     """Construct p_0 ... p_{n_top}."""
@@ -39,20 +39,24 @@ def _basic_solve(Q: DeltaOperator, n_top: int) -> list[Poly]:
     Reads only the series coefficients (through Q.coeff) and falling
     factorials, so it stays independent of series multiplication,
     inversion and the commutator calculus used by the closed formulas.
+    Q's matrix on the monomials, Q x^i = sum_k a_k falling(i, k) x^{i-k},
+    and the pivots a_1 (m+1)_psi are formed once, before the first degree.
     """
     psi = Q.psi
     a = Q.coeff
+    # w[i][k] for k >= 2, the entries the sums read; the k = 1 entries are the pivots
+    tail = [ZERO, ZERO] + [a(k) for k in range(2, n_top + 1)]
+    w = [[ak * psi.falling(i, k) if ak else ZERO for k, ak in enumerate(tail[: i + 1])]
+         for i in range(n_top + 1)]
+    pivots = [a(1) * psi.number(m + 1) for m in range(n_top)]
     polys = [one_poly()]
     for n in range(1, n_top + 1):
         rhs = polys[n - 1].scale(psi.number(n))
         c: list[RationalFunction] = [ZERO] * (n + 1)
         for m in range(n - 1, -1, -1):
-            s = rhs.coeff(m, ZERO)
-            for i in range(m + 2, n + 1):
-                ai = a(i - m)
-                if ai and c[i]:
-                    s = s - ai * psi.falling(i, i - m) * c[i]
-            c[m + 1] = s / (a(1) * psi.number(m + 1))
+            up = range(m + 2, n + 1)
+            s = rhs.coeff(m, ZERO) - dot([w[i][i - m] for i in up], [c[i] for i in up])
+            c[m + 1] = s / pivots[m]
         polys.append(Poly(c))
     return polys
 
@@ -159,12 +163,15 @@ def binomial_residuals(
     """
     out = []
     for n in range(len(left)):
-        lhs = translate(psi, left[n])
-        rhs = Poly()
-        for k in range(n + 1):
-            c = psi.binomial(n, k)
-            y_part = Poly(right[n - k].coeffs)
-            cols = [y_part.scale(ci * c) for ci in left[k].coeffs]
-            rhs = rhs + Poly(cols)
-        out.append(lhs - rhs)
+        ks = range(n + 1)
+        binoms = [psi.binomial(n, k) for k in ks]
+        ys = [right[n - k].coeffs for k in ks]
+        height = max(map(len, ys))
+        rows = []
+        # the x^i y^j coefficient is the dot of C(n,k)_psi [x^i] l_k with [y^j] r_{n-k}
+        for i in range(max(len(left[k].coeffs) for k in ks)):
+            xs = [b * left[k].coeff(i, ZERO) for k, b in zip(ks, binoms)]
+            rows.append(Poly([dot(xs, [y[j] if j < len(y) else ZERO for y in ys])
+                              for j in range(height)]))
+        out.append(translate(psi, left[n]) - Poly(rows))
     return out

@@ -31,6 +31,9 @@ def test_basic_coordinate_roundtrip():
     p = monomial(5) + monomial(2).scale(QSYM) + monomial(0)
     coords = to_basic_coords(seq, p)
     assert combine(seq, coords) == p
+    assert to_basic_coords(seq, Poly()) == [ZERO] * len(seq)
+    with pytest.raises(ValueError, match="degree 5 exceeds basis of size 5"):
+        to_basic_coords(seq[:5], p)
 
 
 def test_dual_of_derivative_is_multiplication_by_x():

@@ -40,6 +40,16 @@ SIZE = "4"
 # qgauss commands at sizes whose coefficients reach the largest q-degrees
 WIDE_SIZE = "12"
 WIDE_EXPAND_SIZE = "8"
+# scalar tables at sizes whose constant coefficients reach the largest
+# numerators and denominators
+SCALAR_WIDE = (
+    ["basic", "--psi", "classic", "--Q", "shifted", "--N", "28"],
+    ["basic", "--psi", "square", "--Q", "laguerre", "--N", "28"],
+    ["sheffer", "--psi", "fibonacci", "--Q", "shifted", "--S", "laguerre_order",
+     "--alpha", "3/2", "--N", "28"],
+    ["expand", "--psi", "square", "--Q", "laguerre", "--op", "qscale", "--N", "20"],
+    ["expand", "--psi", "classic", "--Q", "shifted", "--op", "number", "--N", "20"],
+)
 
 
 def _cases() -> list[list[str]]:
@@ -73,6 +83,7 @@ def _cases() -> list[list[str]]:
     for op in OPS:
         out.append(["expand"] + wide + ["--Q", "laguerre", "--op", op,
                                         "--N", WIDE_EXPAND_SIZE] + tail)
+    out.extend(argv + tail for argv in SCALAR_WIDE)
     return out
 
 

@@ -29,7 +29,7 @@ import sys
 import pytest
 import test_random_cells
 
-from psicalc import expansion, psi as psi_mod, sequences, su2q, verify, weyl
+from psicalc import expansion, operators, psi as psi_mod, ratfun, sequences, su2q, verify, weyl
 from psicalc.operators import OperatorSeries
 from psicalc.poly import Poly
 from psicalc.psi import PsiSequence
@@ -104,7 +104,15 @@ def _solve_times_a1(mp):
     """
     mp.setitem(sequences.BASIC_BUILDERS, "solve", _rebuilt(
         sequences, "_basic_solve",
-        "s / (a(1) * psi.number(m + 1))", "s * a(1) / psi.number(m + 1)"))
+        "pivots = [a(1) * psi.number(m + 1)", "pivots = [psi.number(m + 1) / a(1)"))
+
+
+def _dot_stale_denominator(mp):
+    """`dot` adds a constant term whose denominator divides the running one
+    without rescaling it to that denominator."""
+    stale = _rebuilt(ratfun, "dot", "if b == bottom:", "if bottom % b == 0:")
+    for owner in (ratfun, operators, expansion, sequences):
+        mp.setattr(owner, "dot", stale)
 
 
 def _conjugated_clock(mp):
@@ -167,6 +175,8 @@ MUTANTS = {
         lambda mp: _wrap(mp, [PsiSequence], "mutator_eigenvalue", _mutator_9),
         ("qmutator", "nogo")),
     "basic solve multiplies by a_1": (_solve_times_a1, ("cells",)),
+    "dot sums constants over a stale denominator": (
+        _dot_stale_denominator, ("methods", "expansion", "cells")),
     "sigma2 built from omega-bar": (_conjugated_clock, ("weyl",)),
     "shift corner entry dropped": (
         lambda mp: _wrap(mp, [weyl, su2q], "cyclic_shift", _corner_dropped), ("weyl",)),

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from psicalc import ratfun
 from psicalc.poly import Poly
@@ -18,6 +18,7 @@ from psicalc.ratfun import (
     _gcd_poly,
     _mul,
     _primitive,
+    dot,
     parse_ratfun,
     rf,
 )
@@ -308,3 +309,52 @@ def test_large_products_parse_back():
         v = RationalFunction(factor() * factor(), factor() * factor())
         assert v.num.degree == 60 and v.den.degree == 60
         assert parse_ratfun(v.render()) == v
+
+
+# pairwise coprime denominators, several far past a machine word, so the
+# running lcm of a constant sum grows at every new one; none is a multiple
+# of _P, the prime that _check_invariants reduces by
+_DENS = (1, 2, 3, 7, 2 ** 89 - 1, 3 ** 41, 5 ** 27, 10 ** 18 + 9, 11 ** 19)
+
+
+@st.composite
+def dot_operands(draw):
+    """Zero, a constant over a large denominator, a q-polynomial or a ratio."""
+    kind = draw(st.sampled_from(("zero", "constant", "polynomial", "ratio")))
+    if kind == "zero":
+        return ZERO
+    content = rf(Fraction(draw(st.integers(-10 ** 20, 10 ** 20).filter(bool)),
+                          draw(st.sampled_from(_DENS))))
+    if kind == "constant":
+        return content
+    num = draw(st.lists(ints, min_size=2, max_size=4).filter(lambda cs: any(cs[1:])))
+    den = [1] if kind == "polynomial" else draw(st.lists(ints, min_size=1, max_size=3)
+                                                .filter(any))
+    return content * RationalFunction(Poly(num), Poly(den))
+
+
+def _left_to_right(xs, ys):
+    total = ZERO
+    for x, y in zip(xs, ys):
+        total = total + x * y
+    return total
+
+
+@given(st.lists(st.tuples(dot_operands(), dot_operands()), max_size=8), st.booleans())
+@example([], False)
+@example([(rf(Fraction(1, 2 ** 89 - 1)), rf(3 ** 41)), (rf(Fraction(-5, 3 ** 41)), ONE),
+          (rf(Fraction(7, 10 ** 18 + 9)), rf(Fraction(1, 11 ** 19)))], False)
+@example([(QSYM, ONE / (ONE - QSYM)), (ONE, ONE / (ONE + QSYM)), (ZERO, QSYM)], True)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+def test_dot_equals_the_left_to_right_sum(pairs, cancel):
+    # with cancel, every term comes back negated, so the sum is zero
+    if cancel:
+        pairs = pairs + [(x, -y) for x, y in reversed(pairs)]
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    got, want = dot(xs, ys), _left_to_right(xs, ys)
+    _check_invariants(got)
+    assert got == want
+    assert got.render() == want.render()
+    if cancel:
+        assert got == ZERO
