@@ -37,8 +37,7 @@ def to_basic_coords(polys: tuple[Poly, ...], p: Poly) -> list[RationalFunction]:
         raise ValueError(f"degree {p.degree} exceeds basis of size {len(polys)}")
     coords = [ZERO] * len(polys)
     for d in range(len(cs) - 1, -1, -1):
-        above = range(d + 1, len(cs))
-        s = cs[d] - dot([coords[j] for j in above], [polys[j].coeffs[d] for j in above])
+        s = cs[d] - dot((coords[j], polys[j].coeffs[d]) for j in range(d + 1, len(cs)))
         if s:
             coords[d] = s / polys[d].coeffs[d]
     return coords
@@ -76,8 +75,8 @@ def expand_operator(
         row = []
         for i in range(N + 1):
             # g_n's coefficient i - m + n, for the n < m where it exists
-            ns = range(max(m - i, 0), m)
-            s = images[m][i] - dot([falls[n] for n in ns], [coeff_rows[n][i - m + n] for n in ns])
+            s = images[m][i] - dot((falls[n], coeff_rows[n][i - m + n])
+                                   for n in range(max(m - i, 0), m))
             row.append(s / fact)
         coeff_rows.append(row)
     return [Poly(row) for row in coeff_rows]
@@ -91,7 +90,8 @@ def reconstruct_operator(
     `basic` must reach past the table size by however far some g_n
     raises degree beyond n (never, for a table that does not raise degree).
     Each image T p_m = sum_{n<=m} falling(m, n) g_n(xhat_Q) p_{m-n} is built
-    once, and column j follows by writing x^j in the basic basis.
+    once: its basic coordinates are the g_n shifted up by m - n, scaled by
+    falling(m, n).  Column j follows by writing x^j in the basic basis.
     """
     dim = len(coeff_polys)
     psi = Q.psi
@@ -101,11 +101,9 @@ def reconstruct_operator(
     images = []
     for m in range(dim):
         gs = coeff_polys[: m + 1]
-        falls = [psi.falling(m, n) if g else ZERO for n, g in enumerate(gs)]
-        # the p_j component of T p_m: g_n's coefficient j - m + n, summed over n
-        out = [dot(falls, [g.coeff(j - m + n, ZERO) for n, g in enumerate(gs)])
-               for j in range(M + 1)]
-        images.append(combine(basic, out))
+        coords = combine([g.shifted(m - n) for n, g in enumerate(gs)],
+                         [psi.falling(m, n) if g else ZERO for n, g in enumerate(gs)])
+        images.append(combine(basic, coords.coeffs))
     return tuple(
         combine(images, to_basic_coords(basic[: j + 1], monomial(j))) for j in range(dim)
     )

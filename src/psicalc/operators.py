@@ -7,7 +7,8 @@ Delta operators are the series with a_0 = 0, a_1 != 0; they factor as
 D * S with S invertible, which drives every construction downstream.
 An operator table is a plain tuple of polynomials whose entry j is the
 image of x^j (`table` builds one from a map); `combine` forms the linear
-combinations that applying a table or changing basis needs.
+combinations that applying a table or changing basis needs, and also the
+rows of the binomial residuals and the images of a reconstructed operator.
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ def combine(polys: Sequence[Poly], coeffs: Sequence) -> Poly:
     if len(coeffs) > len(polys):
         raise ValueError(f"{len(coeffs)} coefficients for {len(polys)} polynomials")
     terms = [(p.coeffs, c) for p, c in zip(polys, coeffs) if c and p.coeffs]
-    cs = [c for _, c in terms]
     width = max((len(p) for p, _ in terms), default=0)
-    return Poly([dot(cs, [p[i] if i < len(p) else ZERO for p, _ in terms])
-                 for i in range(width)])
+    return Poly([dot((c, p[i]) for p, c in terms if i < len(p)) for i in range(width)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +84,7 @@ class OperatorSeries:
             few, many = self._nonzero, other._nonzero
             if len(many) < len(few):
                 few, many = many, few
-            idx = [i for i in few if i <= k]
-            return dot([few[i] for i in idx], [many.get(k - i, ZERO) for i in idx])
+            return dot((c, many[k - i]) for i, c in few.items() if k - i in many)
 
         return OperatorSeries(self.psi, [], rule)
 
@@ -96,13 +94,11 @@ class OperatorSeries:
         if not a0:
             raise ValueError("non-invertible series")
         inv0 = a0.inverse()
-        a = self.coeffs
         out = [inv0]
 
         def rule(k: int) -> RationalFunction:
             self.coeff(k)
-            top = min(k + 1, len(a))
-            s = dot(a[1:top], [out[k - i] for i in range(1, top)])
+            s = dot((c, out[k - i]) for i, c in self._nonzero.items() if 0 < i <= k)
             return -(s * inv0) if s else ZERO
 
         return OperatorSeries(self.psi, out, rule)

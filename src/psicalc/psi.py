@@ -179,24 +179,17 @@ def xhat_psi(psi: PsiSequence, p: Poly) -> Poly:
     return Poly(out)
 
 
-def jackson_quotient(p: Poly, q_value: RationalFunction | None = None) -> Poly:
+def jackson_quotient(p: Poly) -> Poly:
     """The q-difference quotient (p(x) - p(qx)) / ((1-q)x), computed exactly.
 
     Built as the literal quotient so it stays an independent route to the
     qgauss derivative: substitute qx, subtract, and divide out the monomial
     factor (both divisions are exact for polynomial input).
     """
-    qv = QSYM if q_value is None else q_value
-    scaled = p.compose(Poly((ZERO, qv)))
-    diff = p - scaled
-    if diff.is_zero():
-        return Poly()
-    denom = ONE - qv
-    if not denom:
-        raise ZeroDivisionError("degenerate deformation: q = 1")
+    diff = p - p.compose(Poly((ZERO, QSYM)))
+    denom = ONE - QSYM
     # diff has no constant term: p(x) - p(qx) vanishes at x = 0.
-    out = [c / denom for c in diff.coeffs[1:]]
-    return Poly(out)
+    return Poly([c / denom for c in diff.coeffs[1:]])
 
 
 def translate(psi: PsiSequence, p: Poly) -> Poly:

@@ -10,11 +10,12 @@ all arithmetic runs on Python ints; a ``Fraction`` appears only at the edge
 equality is syntactic.  Polynomial gcds use the heuristic gcd GCDHEU (Char,
 Geddes and Gonnet, J. Symbolic Comput. 8 (1989) 31-48), which also returns
 the cofactors, so cancelling a common factor needs no second division.
-``dot(xs, ys)`` is the one fused operation: the sum of products x*y, with
-the constant terms over one integer lcm and the others over one Z[q]
-denominator, canonicalised once at the end.  Every partial sum is an exact
-value, only not yet canonical, and the canonical form is unique, so ``dot``
-equals the left-to-right sum of ``+`` and ``*`` and renders the same text.
+``dot(pairs)`` is the one fused operation: the sum of products x*y over
+the (x, y) pairs its caller yields, with the constant terms over one
+integer lcm and the others over one Z[q] denominator, canonicalised once
+at the end.  Every partial sum is an exact value, only not yet canonical,
+and the canonical form is unique, so ``dot`` equals the left-to-right sum
+of ``+`` and ``*`` and renders the same text.
 ``parse_ratfun`` reads the text form back in one left-to-right pass.
 """
 
@@ -320,8 +321,11 @@ class RationalFunction:
         return f"({ns})/({_int_poly_str([b * c for c in self._den])})"
 
 
-def dot(xs, ys) -> RationalFunction:
-    """The exact sum of x*y over zip(xs, ys) of RationalFunction values.
+def dot(pairs) -> RationalFunction:
+    """The exact sum of x*y over an iterable of (x, y) RationalFunction pairs.
+
+    The caller yields the terms that exist; a pair with a zero side is
+    skipped, and no pairs sum to ZERO.
 
     Constant terms (num = den = 1) add into one integer numerator over the
     running lcm of their denominators.  The other terms add into one
@@ -334,7 +338,7 @@ def dot(xs, ys) -> RationalFunction:
     """
     top, bottom = 0, 1  # the constant terms sum to top/bottom
     num, scale, den = [], 1, _I1  # the others sum to num/(scale*den)
-    for x, y in zip(xs, ys):
+    for x, y in pairs:
         a1, a2 = x._a, y._a
         if not a1 or not a2:
             continue

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .operators import DeltaOperator, OperatorSeries, one_series
+from .operators import DeltaOperator, OperatorSeries, combine, one_series
 from .poly import Poly
 from .psi import PsiSequence, monomial, one_poly, translate, xhat_psi
 from .ratfun import ZERO, RationalFunction, dot
@@ -54,8 +54,7 @@ def _basic_solve(Q: DeltaOperator, n_top: int) -> list[Poly]:
         rhs = polys[n - 1].scale(psi.number(n))
         c: list[RationalFunction] = [ZERO] * (n + 1)
         for m in range(n - 1, -1, -1):
-            up = range(m + 2, n + 1)
-            s = rhs.coeff(m, ZERO) - dot([w[i][i - m] for i in up], [c[i] for i in up])
+            s = rhs.coeff(m, ZERO) - dot((w[i][i - m], c[i]) for i in range(m + 2, n + 1))
             c[m + 1] = s / pivots[m]
         polys.append(Poly(c))
     return polys
@@ -165,13 +164,9 @@ def binomial_residuals(
     for n in range(len(left)):
         ks = range(n + 1)
         binoms = [psi.binomial(n, k) for k in ks]
-        ys = [right[n - k].coeffs for k in ks]
-        height = max(map(len, ys))
-        rows = []
-        # the x^i y^j coefficient is the dot of C(n,k)_psi [x^i] l_k with [y^j] r_{n-k}
-        for i in range(max(len(left[k].coeffs) for k in ks)):
-            xs = [b * left[k].coeff(i, ZERO) for k, b in zip(ks, binoms)]
-            rows.append(Poly([dot(xs, [y[j] if j < len(y) else ZERO for y in ys])
-                              for j in range(height)]))
+        rs = [right[n - k] for k in ks]
+        # the x^i row is sum_k C(n,k)_psi [x^i] l_k * r_{n-k}(y)
+        rows = [combine(rs, [b * left[k].coeff(i, ZERO) for k, b in zip(ks, binoms)])
+                for i in range(max(len(left[k].coeffs) for k in ks))]
         out.append(translate(psi, left[n]) - Poly(rows))
     return out

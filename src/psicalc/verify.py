@@ -51,6 +51,7 @@ from .sequences import (
     BASIC_BUILDERS,
     basic_sequence,
     binomial_residuals,
+    lowering_residuals,
     q_laguerre_closed,
     sheffer_sequence,
 )
@@ -137,11 +138,13 @@ def suite_laguerre() -> list[CheckResult]:
 
 
 def suite_binomial() -> list[CheckResult]:
-    """Translation identity for every grid basic sequence."""
+    """Translation identity and the lowering relation Q p_n = n_psi p_{n-1}
+    for every grid basic sequence."""
     out = []
     for psi, dname, Q, basic in _cells(N_TOP):
-        res = binomial_residuals(psi, basic, basic)
-        out.append(_exact("binomial", f"psi={psi.name} Q={dname} n<={N_TOP}", not any(res)))
+        ok = not any(binomial_residuals(psi, basic, basic)) and not any(
+            lowering_residuals(Q, basic))
+        out.append(_exact("binomial", f"psi={psi.name} Q={dname} n<={N_TOP}", ok))
     return out
 
 

@@ -195,6 +195,34 @@ def _degree_mod_p(a, b):
     return len(a) - 1
 
 
+def _degree_over_q(a, b):
+    """Degree of gcd(a, b) over Q: Euclid on Fraction coefficients, slow but plain."""
+    a = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in b]
+    while b:
+        while len(a) >= len(b):
+            f = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for k, c in enumerate(b):
+                a[shift + k] -= f * c
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _coprime(a, b):
+    """gcd(a, b) = 1 over Q for nonzero integer tuples.
+
+    A coprime image mod _P settles it; an image with a common factor (or a
+    lead that vanishes mod _P) may still lift to coprime polynomials, as
+    p + q and q do, so Euclid over Q decides those.
+    """
+    if a[-1] % _P and b[-1] % _P and _degree_mod_p(a, b) == 0:
+        return True
+    return _degree_over_q(a, b) == 0
+
+
 def _check_invariants(v):
     assert isinstance(v.content, Fraction)
     a, b = v._a, v._b
@@ -207,8 +235,16 @@ def _check_invariants(v):
         return
     assert den[-1] > 0 and num[-1] > 0
     assert math.gcd(*num) == 1 and math.gcd(*den) == 1
-    if num[-1] % _P and den[-1] % _P:  # else the image mod p says nothing
-        assert _degree_mod_p(num, den) == 0
+    assert _coprime(num, den)
+
+
+def test_canonical_value_whose_image_mod_p_shares_a_factor():
+    # (p + q)/q is canonical, but mod p its numerator reduces to the denominator q
+    v = RationalFunction(Poly([_P, 1]), Poly([0, 1]))
+    assert v.num.coeffs == (_P, 1) and v.den.coeffs == (0, 1)
+    assert _degree_mod_p(v.num.coeffs, v.den.coeffs) == 1
+    _check_invariants(v)
+    assert not _coprime((_P, _P + 1, 1), (0, _P, 1))  # (p + q)(1 + q) against q(p + q)
 
 
 @given(big_values(), big_values(), points)
@@ -281,8 +317,7 @@ def test_gcd_returns_gcd_and_cofactors(pair):
     assert math.gcd(*g) == 1 and g[-1] > 0
     # the gcd is a multiple of the planted factor's primitive part
     assert _divexact(g, _primitive(planted)[1]) is not None
-    if ca[-1] % _P and cb[-1] % _P:  # else the image mod p says nothing
-        assert _degree_mod_p(ca, cb) == 0
+    assert _coprime(ca, cb)
 
 
 def test_gcd_that_needs_a_second_evaluation_point(monkeypatch):
@@ -312,9 +347,8 @@ def test_large_products_parse_back():
 
 
 # pairwise coprime denominators, several far past a machine word, so the
-# running lcm of a constant sum grows at every new one; none is a multiple
-# of _P, the prime that _check_invariants reduces by
-_DENS = (1, 2, 3, 7, 2 ** 89 - 1, 3 ** 41, 5 ** 27, 10 ** 18 + 9, 11 ** 19)
+# running lcm of a constant sum grows at every new one
+_DENS = (1, 2, 3, 7, _P, 2 ** 89 - 1, 3 ** 41, 5 ** 27, 10 ** 18 + 9, 11 ** 19)
 
 
 @st.composite
@@ -352,9 +386,25 @@ def test_dot_equals_the_left_to_right_sum(pairs, cancel):
     if cancel:
         pairs = pairs + [(x, -y) for x, y in reversed(pairs)]
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-    got, want = dot(xs, ys), _left_to_right(xs, ys)
+    got, want = dot(zip(xs, ys)), _left_to_right(xs, ys)
     _check_invariants(got)
     assert got == want
     assert got.render() == want.render()
     if cancel:
         assert got == ZERO
+
+
+@given(st.lists(st.tuples(dot_operands(), dot_operands()), max_size=6), st.data())
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+def test_dot_reads_pairs_once_and_skips_zero_sides(pairs, data):
+    want = dot(pairs)
+    assert dot(pair for pair in pairs) == want  # a one-shot generator
+    padded = list(pairs)
+    for zero_pair in ((ZERO, QSYM), (rf(Fraction(3, _P)), ZERO), (ZERO, ZERO)):
+        padded.insert(data.draw(st.integers(0, len(padded))), zero_pair)
+    got = dot(padded)
+    assert got == want and got.render() == want.render()
+
+
+def test_dot_of_no_pairs_is_zero():
+    assert dot(()) == ZERO
