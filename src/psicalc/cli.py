@@ -7,8 +7,10 @@ what `--format json` prints, and `text` is either a list of lines or a
 payload, a csv table, padded text columns, or the lines as they are.  A
 payload value may be JSON text rendered ahead (`JSONText`): `spin` and
 `weyl` render each matrix straight to text, one distinct float at a time.
-`COMMANDS` registers each command with its help and arguments, and `main`
-builds the parser of the named command alone.
+`COMMANDS` registers each command with its help and arguments.  `main`
+reads a plain argv (a command and then flag, value pairs) straight from it,
+and builds the argparse tree only for help and usage errors, whose texts
+and exit codes it alone writes.
 
 Exact commands render scalars in the canonical string form, so repeated
 invocations are byte-identical.  Exit codes: 0 for success (including a
@@ -380,24 +382,15 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of `command` alone.
-
-    With one command the help and every error it can reach read as with
-    all nine: its subparser is the same, and the top-level usage line still
-    lists every command.  The metavar that does this is set on the
-    one-command parser only: on the full tree it would rename "argument
-    command" in the missing-command and invalid-choice errors, which the
-    one-command parser cannot reach.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command: it answers help and usage errors, and it
+    is the reference that `_plain_args` reads as."""
     parser = argparse.ArgumentParser(
         prog="psicalc",
         description="Deformed finite operator calculus tables and identity checks",
     )
-    usage = {"metavar": "{" + ",".join(COMMANDS) + "}"} if command else {}
-    sub = parser.add_subparsers(dest="command", required=True, **usage)
-    for name in [command] if command else COMMANDS:
-        run, help_text, arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (run, help_text, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
         for flag, options in arguments:
@@ -405,14 +398,45 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace `build_parser` reads from a plain argv, or None.
+
+    Plain is a command and then (flag, value) pairs: each flag spelled as
+    the command registers it, and each value one that does not start with
+    "-", that the flag's type reads and that its choices hold.  Everything
+    else (help, abbreviations, --flag=value, a bad value, a missing one or
+    an extra word) is None, left to argparse and its messages.
+    """
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    run, _, arguments = COMMANDS[argv[0]]
+    options = dict(arguments)
+    args = {"command": argv[0], "run": run}
+    args.update((flag[2:], opts.get("default")) for flag, opts in arguments)
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        opts = options.get(flag)
+        if opts is None or text.startswith("-"):
+            return None
+        try:
+            value = opts["type"](text) if "type" in opts else text
+        except (argparse.ArgumentTypeError, ValueError, TypeError):
+            return None
+        if "choices" in opts and value not in opts["choices"]:
+            return None
+        dest = flag[2:]
+        if opts.get("action") == "append":
+            value = [*(args[dest] or []), value]
+        args[dest] = value
+    return argparse.Namespace(**args)
+
+
 def main(argv=None) -> int:
     try:
         try:
             argv = sys.argv[1:] if argv is None else list(argv)
-            # Only the named command's subparser; the full tree for help, no
-            # command or an unknown one.
-            command = argv[0] if argv and argv[0] in COMMANDS else None
-            args = build_parser(command).parse_args(argv)
+            # argparse only for what the registry cannot read directly:
+            # building and running it is most of a small command's time.
+            args = _plain_args(argv) or build_parser().parse_args(argv)
             code, payload, text = args.run(args)
             out = _stdout(getattr(args, "format", None), payload, text)
             # In pieces no larger than the io buffer: a larger write that the

@@ -43,12 +43,14 @@ def to_basic_coords(polys: tuple[Poly, ...], p: Poly) -> list[RationalFunction]:
     return coords
 
 
+def _monomial_coords(basic: tuple[Poly, ...], n: int) -> list[list[RationalFunction]]:
+    """Basic coordinates of x^0 ... x^{n-1}, each over p_0 ... p_j only."""
+    return [to_basic_coords(basic[: j + 1], monomial(j)) for j in range(n)]
+
+
 def dual_xhat(basic: tuple[Poly, ...]) -> tuple[Poly, ...]:
     """Table of the raising map p_k -> p_{k+1} on x^0 ... x^{len(basic)-2}."""
-    return tuple(
-        combine(basic[1:], to_basic_coords(basic[: j + 1], monomial(j)))
-        for j in range(len(basic) - 1)
-    )
+    return tuple(combine(basic[1:], c) for c in _monomial_coords(basic, len(basic) - 1))
 
 
 def expand_operator(
@@ -104,9 +106,7 @@ def reconstruct_operator(
         coords = combine([g.shifted(m - n) for n, g in enumerate(gs)],
                          [psi.falling(m, n) if g else ZERO for n, g in enumerate(gs)])
         images.append(combine(basic, coords.coeffs))
-    return tuple(
-        combine(images, to_basic_coords(basic[: j + 1], monomial(j))) for j in range(dim)
-    )
+    return tuple(combine(images, c) for c in _monomial_coords(basic, dim))
 
 
 def _mutator_scale(psi, polys: tuple[Poly, ...], p: Poly) -> Poly:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import signal
 import subprocess
 import sys
@@ -427,36 +428,74 @@ PARSER_ARGV = [
 ]
 
 
-@pytest.mark.parametrize("columns", ["40", "80", "200"])
-def test_one_command_parser_reads_as_the_full_tree(capsys, monkeypatch, columns):
-    monkeypatch.setenv("COLUMNS", columns)
+def test_main_never_builds_the_parser_for_a_plain_argv(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("build_parser called on a plain argv")
 
-    def outputs():
-        got = []
-        for argv in PARSER_ARGV:
-            code = main(list(argv))
-            captured = capsys.readouterr()
-            got.append((argv, code, captured.out, captured.err))
-        return got
-
-    one_command = outputs()
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-    assert one_command == outputs()
-
-
-def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch):
-    built = []
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda command=None: built.append(command) or real(command))
-    for argv in (["table", "--N", "1"], ["verify", "-h"], ["-h"], ["bogus"], []):
-        main(argv)
-    assert built == ["table", "verify", None, None, None]
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert main(["table", "--psi", "classic", "--N", "1", "--format", "csv"]) == 0
+    assert main(["verify", "--suite", "laguerre", "--suite", "nogo"]) == 0
     capsys.readouterr()
-    with pytest.raises(SystemExit):
-        real("table").parse_args(["basic"])
-    assert "(choose from 'table')" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_main_answers_help_and_usage_errors_as_the_full_tree(capsys, monkeypatch, columns):
+    """Each PARSER_ARGV builds the parser once and prints what argparse prints."""
+    monkeypatch.setenv("COLUMNS", columns)
+    real = cli.build_parser
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    for argv in PARSER_ARGV:
+        built.clear()
+        code = main(list(argv))
+        got = (code, *capsys.readouterr())
+        assert len(built) == 1, argv
+        with pytest.raises(SystemExit) as exc:
+            real().parse_args(list(argv))
+        want = (0 if exc.value.code in (0, None) else cli.USAGE_ERROR, *capsys.readouterr())
+        assert got == want, argv
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# A few plain argv that repeat a flag or pass an empty value; the rest are
+# for argparse alone: help, --flag=value, abbreviations, values starting
+# with "-", "--", bad types and choices, missing values and extra words.
+EDGE_ARGV = [
+    ["table", "--N", "2", "--N", "3"], ["verify", "--suite", "su2", "--suite", "weyl"],
+    ["table", "--psi", ""],
+    ["table", "--N=3"], ["table", "--form", "csv"], ["spin", "--q", "-0.5"],
+    ["spin", "--q=-0.5,0.2"], ["table", "--Q", "laguerre"], ["table", "--N"],
+    ["table", "--N", "3", "-h"], ["table", "--N", "-h"], ["table", "--psi", "-h"],
+    ["table", "--psi", "--N"], ["basic", "--psi", "-x"], ["table", "--", "--N", "3"],
+    ["table", "--N", "3", "--"], ["table", "--N", "x"], ["spin", "--j", "0.3.1"],
+    ["basic", "--Q", "nope"], ["table", "--N", "3", "extra"], ["table", "extra", "--N"],
+    ["sheffer", "--alpha", "1/0"], ["spin", "--tolerance", "0"], ["spin", "--q", "1,2,3"],
+    ["weyl", "--N", "-1"], ["verify", "--suite", "all", "--format", "json"],
+    *PARSER_ARGV,
+]
+
+
+def test_plain_args_read_as_the_full_tree(capsys):
+    """_plain_args agrees with argparse on every benchmark, golden and edge argv."""
+    accept = [key.split(" ") for name in ("qgauss", "scalar", "numeric")
+              for key in json.loads((ROOT / "perfbench" / "refs" / f"{name}.json")
+                                    .read_text(encoding="utf-8"))["refs"]]
+    accept += [key.split(" ") for name in ("corpus", "numeric")
+               for key in json.loads((ROOT / "tests" / "golden" / f"{name}.json")
+                                     .read_text(encoding="utf-8"))]
+    parser = cli.build_parser()
+    wrong = []
+    for argv in accept + EDGE_ARGV:
+        try:
+            want = vars(parser.parse_args(argv))
+        except SystemExit:
+            want = None
+        got = cli._plain_args(argv)
+        if (got is None and argv in accept) or (got is not None and vars(got) != want):
+            wrong.append((argv, got, want))
+    capsys.readouterr()
+    assert wrong == []
+    assert len(accept) > 7700
 
 
 def test_module_entry_point_subprocess():
