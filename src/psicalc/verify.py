@@ -364,13 +364,14 @@ def _run_suite(name: str) -> list[CheckResult]:
 
 
 def run_suites(names=None) -> list[CheckResult]:
-    """Run the named suites; no names, or "all" among them, runs every suite.
+    """Run the named suites, each once; no names, or "all" among them, runs
+    every suite.
 
     The suites are independent, so they run in forked worker processes, one
     per CPU this process may use; on one CPU, or where fork is missing, they
     run in this process.  Either way each suite is `SUITES[name]()`, and the
-    rows come back in the order the suites are named (SUITES order for
-    "all").  A suite that raises raises here; a worker that dies raises
+    rows come back in the order the suites are first named (SUITES order
+    for "all").  A suite that raises raises here; a worker that dies raises
     ValueError.
     """
     import multiprocessing
@@ -382,7 +383,7 @@ def run_suites(names=None) -> list[CheckResult]:
     if unknown:
         known = ", ".join(SUITES)
         raise ValueError(f"unknown suite {unknown[0]!r}; available: {known}, all")
-    chosen = list(SUITES) if "all" in names else names
+    chosen = list(SUITES if "all" in names else dict.fromkeys(names))
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = min(len(chosen), cpus)

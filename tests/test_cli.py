@@ -102,11 +102,32 @@ def test_matrix_json_equals_the_per_entry_loop():
     distinct = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     pair = weyl_build(16)
     rep = su2_build(1.5, q=np.exp(1j * np.pi / 7))
+    # where runs of equal entries can go wrong: a run may not cross a row
+    # end, even onto the value the next row starts with; equal values with
+    # different bits (0.0 and -0.0, NaNs of two payloads) are separate runs
+    across_rows = np.array([[1.0, 2.0, 3.0], [3.0, 3.0, 4.0], [4.0, 4.0, 4.0]])
+    row = np.array([[1.0, 1.0, 2.0, 2.0, 2.0, 1.0]])
+    signed_zeros = np.array([[0.0, -0.0, -0.0, 0.0, 0.0], [-0.0, 0.0, 0.0, -0.0, -0.0]])
+    two_nans = np.array([[np.nan, payload_nan[0, 1], payload_nan[0, 1], np.nan],
+                         [np.nan, np.nan, payload_nan[0, 1], np.nan]])
+    nan_cells = two_nans.astype(complex)
+    nan_cells.imag = two_nans[::-1]
+    zero_cells = signed_zeros.T.astype(complex)
+    zero_cells.imag = signed_zeros.T[::-1]
+    single = np.complex64(0.1 + 0.2j)
+    runs64 = np.array([[single, single, 0, 0], [0, 0, single, single]], dtype=np.complex64)
+    spins = [su2_build(60, q=q) for q in (1.5, np.exp(1j * np.pi / 7))]
+    ladders = [m for r in spins for m in (r.j3, r.jplus, r.jminus)]
+    clock = weyl_build(100)
     for a in (special, mixed, mixed.T, special.T, np.arange(6).reshape(2, 3),
               np.ones((2, 2), dtype=np.complex64), np.zeros((0, 3)), np.zeros((0, 0)),
               np.zeros((3, 0)), np.array([[2.5 - 1j]]), np.asfortranarray(mixed),
               payload_nan, imag_zero, distinct, np.full((64, 64), -0.5 + 0.25j),
-              pair.sigma1, pair.sigma2, pair.smat, pair.pmat, rep.j3, rep.jplus, rep.jminus):
+              pair.sigma1, pair.sigma2, pair.smat, pair.pmat, rep.j3, rep.jplus, rep.jminus,
+              across_rows, across_rows.T, np.full((5, 7), 3.0), row, row.T,
+              signed_zeros, zero_cells, two_nans, nan_cells,
+              runs64, runs64.T, distinct.astype(np.complex64), *ladders,
+              clock.sigma1, clock.sigma2):
         assert cli._matrix_json(a) == json.dumps(_matrix_json_per_entry(a))
 
 
@@ -115,7 +136,10 @@ SPIN_Q = (None, "0.5", "1.5", "2.0",  # the --q values of the numeric benchmark 
 NUMERIC_ARGV = [
     *(["spin", "--j", j, *(["--q", q] if q else []), "--format", "json"]
       for j in ("1/2", "3/2", "7", "20") for q in SPIN_Q),
-    *(["weyl", "--N", n, "--format", "json"] for n in ("2", "3", "16", "64")),
+    # the benchmark's large matrices, whose rows hold long runs of equal entries
+    *(["spin", "--j", j, *(["--q", q] if q else []), "--format", "json"]
+      for j in ("60", "100") for q in (None, "1.5", SPIN_Q[4], "1.0000001")),
+    *(["weyl", "--N", n, "--format", "json"] for n in ("2", "3", "16", "64", "101", "256")),
 ]
 
 
@@ -225,6 +249,16 @@ def test_verify_subset_exits_zero(capsys):
     lines = out.strip().splitlines()
     assert lines[-1].startswith("summary:")
     assert all(l.startswith(("PASS", "SKIP")) for l in lines[:-1])
+
+
+def test_verify_runs_a_repeated_suite_once_in_the_order_first_named(capsys):
+    once = run_cli(capsys, "verify", "--suite", "weyl")
+    assert run_cli(capsys, "verify", "--suite", "weyl", "--suite", "weyl") == once
+    code, out = run_cli(capsys, "verify", "--suite", "nogo", "--suite", "laguerre",
+                        "--suite", "nogo")
+    assert (code, out) == run_cli(capsys, "verify", "--suite", "nogo", "--suite", "laguerre")
+    suites = [line.split()[1] for line in out.splitlines()[:-1]]
+    assert list(dict.fromkeys(suites)) == ["nogo", "laguerre"]
 
 
 def test_verify_all_anywhere_runs_every_suite(capsys, monkeypatch):
