@@ -203,32 +203,6 @@ class JSONText(str):
     """A payload value that is already JSON text; `_stdout` writes it as it is."""
 
 
-def _float_texts(bits) -> tuple:
-    """The JSON texts, as an object array, of the distinct floats among the
-    int64 bit patterns `bits`, and each pattern's index into them.
-
-    It is `np.unique(bits, return_inverse=True)` from ufuncs and array
-    methods alone.  A small spin's matrices are mostly first touch in a
-    freshly forked process, and there the first `np.unique` took about
-    0.75 ms and 133 minor page faults, these steps 0.54 ms and 106 (median
-    of 15 forks on a 2-vCPU x86_64 VM).
-    """
-    import numpy as np
-
-    order = bits.argsort()
-    ranked = bits[order]
-    first = np.empty(len(ranked), dtype=bool)
-    first[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    texts = np.array(json.dumps(ranked[first].view(float).tolist())[1:-1].split(", "),
-                     dtype=object)
-    first.cumsum(out=ranked)
-    ranked -= 1
-    index = np.empty_like(order)
-    index[order] = ranked
-    return texts, index
-
-
 def _matrix_json(a) -> JSONText:
     """The JSON text of [re, im] of every entry of the 2-D array `a`.
 
@@ -262,7 +236,8 @@ def _matrix_json(a) -> JSONText:
     row_runs = (flags[heads] == 514).nonzero()[0].tolist()  # each row's first run, then the count
     more = heads[1:] - heads[:-1]  # each run's length less one
     more -= 1
-    texts, index = _float_texts(c.reshape(-1)[heads[:-1]].view(np.int64))
+    floats, index = np.unique(c.reshape(-1)[heads[:-1]].view(np.int64), return_inverse=True)
+    texts = np.array(json.dumps(floats.view(float).tolist())[1:-1].split(", "), dtype=object)
     # Each run is the four pieces re ", " im "], [", with the other cells of
     # a long run after its im; a row joins its runs' pieces but the last.
     cells = np.empty((len(more), 4), dtype=object)
