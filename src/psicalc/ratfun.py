@@ -10,12 +10,15 @@ all arithmetic runs on Python ints; a ``Fraction`` appears only at the edge
 equality is syntactic.  Polynomial gcds use the heuristic gcd GCDHEU (Char,
 Geddes and Gonnet, J. Symbolic Comput. 8 (1989) 31-48), which also returns
 the cofactors, so cancelling a common factor needs no second division.
+``+`` of two values of different forms is the cross-multiplied sum.
 ``dot(pairs)`` is the one fused operation: the sum of products x*y over
 the (x, y) pairs its caller yields, with the constant terms over one
 integer lcm and the others over one Z[q] denominator, canonicalised once
-at the end.  Every partial sum is an exact value, only not yet canonical,
-and the canonical form is unique, so ``dot`` equals the left-to-right sum
-of ``+`` and ``*`` and renders the same text.
+at the end.  Both end in ``_canonical``, the one normalisation of a sum:
+primitive part, one num/den gcd, content reduced.  Every partial sum is
+an exact value, only not yet canonical, and the canonical form is unique,
+so ``dot`` equals the left-to-right sum of ``+`` and ``*`` and renders
+the same text.
 ``parse_ratfun`` reads the text form back in one left-to-right pass.
 """
 
@@ -220,30 +223,8 @@ class RationalFunction:
                 return ZERO
             g = _igcd(a, b)
             return _new(a // g, b // g, n1, d1)
-        # a1/b1 = top/bottom * u1 and a2/b2 = top/bottom * u2 with integers u1, u2
-        top = _igcd(a1, a2)
-        bottom = b1 // _igcd(b1, b2) * b2
-        u1 = a1 // top * (bottom // b1)
-        u2 = a2 // top * (bottom // b2)
-        # denominator-gcd form: only a factor of g = gcd(d1, d2) can cancel afterwards
-        if d1 == d2:
-            g, t1, t2 = d1, _I1, _I1
-        elif len(d1) > 1 and len(d2) > 1:
-            g, t1, t2 = _gcd_poly(d1, d2)
-        else:
-            g, t1, t2 = _I1, d1, d2
-        num = _combine(u1, _mul(n1, t2), u2, _mul(n2, t1))
-        if not num:
-            return ZERO
-        k, num = _primitive(num)
-        den = d1  # g * t1
-        if len(g) > 1 and len(num) > 1:
-            g2, num, g = _gcd_poly(num, g)
-            if len(g2) > 1:
-                den = _mul(g, t1)
-        # top is prime to bottom, so only k can share a factor with it
-        c = _igcd(k, bottom)
-        return _new(top * (k // c), bottom // c, num, _mul(den, t2))
+        num = _combine(a1 * b2, _mul(n1, d2), a2 * b1, _mul(n2, d1))
+        return _canonical(b1 * b2, num, _mul(d1, d2))
 
     __radd__ = __add__
 
@@ -307,10 +288,10 @@ class RationalFunction:
     def eval_q(self, point) -> Fraction:
         """Evaluate at a rational value of q; denominator must not vanish."""
         point = Fraction(point)
-        d = self.den.eval_at(point)
+        d = _at(self._den, point)
         if d == 0:
             raise ZeroDivisionError("zero divisor")
-        return self.content * self.num.eval_at(point) / d
+        return self.content * _at(self._num, point) / d
 
     def render(self) -> str:
         """Integer numerator over integer denominator, e.g. "(1-q)/(2+2q)"."""
@@ -332,7 +313,7 @@ def dot(pairs) -> RationalFunction:
     integer polynomial over an integer times one primitive Z[q]
     denominator, the lcm of the terms' denominators, which takes a gcd only
     when a term brings a new one; a term's own factors cancel crosswise as
-    in ``*``.  Nothing is canonicalised until the end, where one gcd
+    in ``*``.  Nothing is canonicalised until the end, where ``_canonical``
     cancels the numerator against that denominator.  The canonical form is
     unique, so the value equals the left-to-right sum of + and *.
     """
@@ -365,13 +346,8 @@ def dot(pairs) -> RationalFunction:
         scale = scale // g * b
         if d == den:
             num = _combine(u, num, v, n)
-        elif len(d) == 1:
-            num = _combine(u, num, v, _mul(n, den))
         else:
-            if len(den) == 1:
-                dt, td = den, d
-            else:
-                _, dt, td = _gcd_poly(den, d)
+            _, dt, td = _gcd_poly(den, d)
             num = _combine(u, _mul(num, td), v, _mul(n, dt))
             den = _mul(den, td)
         if not num:
@@ -385,13 +361,20 @@ def dot(pairs) -> RationalFunction:
         g = _igcd(scale, bottom)
         num = _combine(bottom // g, num, top * (scale // g), den)
         scale = scale // g * bottom
-        if not num:
-            return ZERO
+    return _canonical(scale, num, den)
+
+
+def _canonical(b: int, num: list, den: tuple) -> RationalFunction:
+    """num/(b*den) in canonical form, for b > 0 and a primitive den with a
+    positive lead: the primitive part of num, one gcd of num and den, then
+    the content reduced against b."""
+    if not num:
+        return ZERO
     k, num = _primitive(num)
     if len(num) > 1 and len(den) > 1:
         _, num, den = _gcd_poly(num, den)
-    g = _igcd(k, scale)
-    return _new(k // g, scale // g, num, den)
+    g = _igcd(k, b)
+    return _new(k // g, b // g, num, den)
 
 
 def _new(a: int, b: int, num: tuple, den: tuple) -> RationalFunction:

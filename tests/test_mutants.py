@@ -115,6 +115,13 @@ def _dot_stale_denominator(mp):
         mp.setattr(owner, "dot", stale)
 
 
+def _canonical_skips_gcd(mp):
+    """`_canonical`, which ends + over different forms and every nonconstant
+    dot, leaves a factor common to num and den uncancelled."""
+    mp.setattr(ratfun, "_canonical", _rebuilt(
+        ratfun, "_canonical", "if len(num) > 1 and len(den) > 1:", "if False:"))
+
+
 def _conjugated_clock(mp):
     """sigma2 = diag(omega-bar^k): the relation and omega^P flip to the
     other convention, which a check that tried both would accept."""
@@ -177,6 +184,7 @@ MUTANTS = {
     "basic solve multiplies by a_1": (_solve_times_a1, ("cells",)),
     "dot sums constants over a stale denominator": (
         _dot_stale_denominator, ("methods", "expansion", "cells")),
+    "_canonical skips its num/den gcd": (_canonical_skips_gcd, ("cells",)),
     "sigma2 built from omega-bar": (_conjugated_clock, ("weyl",)),
     "shift corner entry dropped": (
         lambda mp: _wrap(mp, [weyl, su2q], "cyclic_shift", _corner_dropped), ("weyl",)),

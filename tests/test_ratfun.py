@@ -247,7 +247,16 @@ def test_canonical_value_whose_image_mod_p_shares_a_factor():
     assert not _coprime((_P, _P + 1, 1), (0, _P, 1))  # (p + q)(1 + q) against q(p + q)
 
 
+def _raw(num, den):
+    """A big_values draw of num/den for integer coefficient lists, no factor planted."""
+    return RationalFunction(Poly(num), Poly(den)), Poly(num), Poly(den)
+
+
 @given(big_values(), big_values(), points)
+# denominators q(1+q) and q(q-1) share q; a polynomial over 7 after a ratio, and before
+@example(_raw([1], [0, 1, 1]), _raw([1], [0, -1, 1]), Fraction(1, 2))
+@example(_raw([1, 2], [1, 0, 1]), _raw([1, 0, 4], [7]), Fraction(-3, 2))
+@example(_raw([1, 0, 4], [7]), _raw([1, 2], [1, 0, 1]), Fraction(5, 3))
 @settings(max_examples=25, deadline=None)
 def test_field_ops_commute_with_evaluation(a, b, x):
     (va, na, da), (vb, nb, db) = a, b
@@ -379,6 +388,11 @@ def _left_to_right(xs, ys):
 @example([(rf(Fraction(1, 2 ** 89 - 1)), rf(3 ** 41)), (rf(Fraction(-5, 3 ** 41)), ONE),
           (rf(Fraction(7, 10 ** 18 + 9)), rf(Fraction(1, 11 ** 19)))], False)
 @example([(QSYM, ONE / (ONE - QSYM)), (ONE, ONE / (ONE + QSYM)), (ZERO, QSYM)], True)
+# denominators q(1+q) and q(q-1) share q, which the sum's numerator 2q has too
+@example([(ONE, ONE / (QSYM * (QSYM + 1))), (ONE, ONE / (QSYM * (QSYM - 1)))], False)
+# a polynomial term over the constant 3 after a ratio term, and before one
+@example([(QSYM, ONE / (ONE - QSYM)), (rf(Fraction(1, 3)), 1 + QSYM)], False)
+@example([(2 + QSYM, rf(Fraction(1, 3))), (QSYM, ONE / (ONE + QSYM ** 2))], True)
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           phases=(Phase.explicit, Phase.generate))
 def test_dot_equals_the_left_to_right_sum(pairs, cancel):
@@ -388,6 +402,7 @@ def test_dot_equals_the_left_to_right_sum(pairs, cancel):
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     got, want = dot(zip(xs, ys)), _left_to_right(xs, ys)
     _check_invariants(got)
+    _check_invariants(want)
     assert got == want
     assert got.render() == want.render()
     if cancel:
