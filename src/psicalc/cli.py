@@ -46,7 +46,7 @@ from .operators import (
 )
 from .psi import BUILTIN_PSIS, PsiSequence, by_name, custom, psi_derivative, qgauss
 from .poly import Poly
-from .ratfun import QSYM, parse_ratfun
+from .ratfun import QSYM, ZERO, parse_ratfun
 from .sequences import basic_sequence, q_laguerre_closed, sheffer_sequence
 from .su2q import TOLERANCE, polar_decompose, su2_build, su2_commutator_check
 from .verify import SUITES, run_suites
@@ -174,8 +174,7 @@ def _bivar_table(p: Poly) -> list[list[str]]:
     width = max((inner.degree for inner in p.coeffs), default=-1) + 1
     out = []
     for inner in p.coeffs:
-        row = [inner.coeff(k, None) for k in range(width)]
-        out.append([c.render() if c is not None else "0" for c in row])
+        out.append([inner.coeff(k, ZERO).render() for k in range(width)])
     return out
 
 

@@ -48,11 +48,6 @@ class OperatorSeries:
     psi: PsiSequence
     coeffs: list[RationalFunction] = field(repr=False)  # a_0, a_1, ...; a rule appends
     rule: Callable[[int], RationalFunction] | None = field(default=None, repr=False)
-    # the nonzero a_k of coeffs by k, ascending, kept as coeff grows the list
-    _nonzero: dict[int, RationalFunction] = field(init=False, repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        self._nonzero.update((k, c) for k, c in enumerate(self.coeffs) if c)
 
     def coeff(self, k: int) -> RationalFunction:
         """a_k, computed from the rule on its first read."""
@@ -64,10 +59,7 @@ class OperatorSeries:
         if self.rule is None:
             return ZERO
         while len(cs) <= k:
-            c = self.rule(len(cs))
-            if c:
-                self._nonzero[len(cs)] = c
-            cs.append(c)
+            cs.append(self.rule(len(cs)))
         return cs[k]
 
     def _same(self, other: "OperatorSeries") -> None:
@@ -75,16 +67,17 @@ class OperatorSeries:
             raise ValueError("operator series over different psi sequences")
 
     def __mul__(self, other: "OperatorSeries") -> "OperatorSeries":
-        """The product; a_k sums over the nonzero terms of the sparser operand."""
+        """The product; a_k = sum_{i <= k} a_i b_{k-i} over the two lists.
+
+        `dot` skips a pair with a zero side, so zero coefficients cost nothing.
+        """
         self._same(other)
+        xs, ys = self.coeffs, other.coeffs
 
         def rule(k: int) -> RationalFunction:
             self.coeff(k)  # grows a rule-backed operand through index k
             other.coeff(k)
-            few, many = self._nonzero, other._nonzero
-            if len(many) < len(few):
-                few, many = many, few
-            return dot((c, many[k - i]) for i, c in few.items() if k - i in many)
+            return dot((x, ys[k - i]) for i, x in enumerate(xs[:k + 1]) if k - i < len(ys))
 
         return OperatorSeries(self.psi, [], rule)
 
@@ -98,7 +91,7 @@ class OperatorSeries:
 
         def rule(k: int) -> RationalFunction:
             self.coeff(k)
-            s = dot((c, out[k - i]) for i, c in self._nonzero.items() if 0 < i <= k)
+            s = dot((x, out[k - i]) for i, x in enumerate(self.coeffs[1:k + 1], 1))
             return -(s * inv0) if s else ZERO
 
         return OperatorSeries(self.psi, out, rule)
@@ -132,7 +125,6 @@ class DeltaOperator(OperatorSeries):
     """A series with no constant term and a nonzero linear term."""
 
     def __post_init__(self):
-        super().__post_init__()
         if self.coeff(0):
             raise ValueError("delta operator must kill constants")
         if not self.coeff(1):

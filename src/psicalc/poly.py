@@ -48,7 +48,7 @@ class Poly:
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
-    def coeff(self, i: int, zero=0):
+    def coeff(self, i: int, zero):
         """Coefficient of x**i, or `zero` when out of range."""
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
@@ -112,15 +112,6 @@ class Poly:
         acc = point * 0
         for c in reversed(self.coeffs):
             acc = acc * point + c
-        return acc
-
-    def compose(self, inner: "Poly") -> "Poly":
-        """Substitute `inner` for the variable."""
-        if not self.coeffs:
-            return Poly()
-        acc = Poly([self.coeffs[-1]])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * inner + Poly([c])
         return acc
 
     def map_coeffs(self, fn) -> "Poly":

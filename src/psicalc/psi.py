@@ -171,8 +171,6 @@ def psi_derivative(psi: PsiSequence, p: Poly) -> Poly:
 
 def xhat_psi(psi: PsiSequence, p: Poly) -> Poly:
     """Deformed raising map, x^n -> ((n+1)/(n+1)_psi) x^{n+1}."""
-    if p.is_zero():
-        return p
     out = [ZERO]
     for n, c in enumerate(p.coeffs):
         out.append(c * (Fraction(n + 1) / psi.number(n + 1)) if c else ZERO)
@@ -186,7 +184,8 @@ def jackson_quotient(p: Poly) -> Poly:
     qgauss derivative: substitute qx, subtract, and divide out the monomial
     factor (both divisions are exact for polynomial input).
     """
-    diff = p - p.compose(Poly((ZERO, QSYM)))
+    # p(qx) scales the x^k coefficient by q^k
+    diff = p - Poly([c * QSYM**k for k, c in enumerate(p.coeffs)])
     denom = ONE - QSYM
     # diff has no constant term: p(x) - p(qx) vanishes at x = 0.
     return Poly([c / denom for c in diff.coeffs[1:]])

@@ -23,8 +23,10 @@ pass.  Catching it needs an exact bracket that does not go through
 
 from __future__ import annotations
 
+import functools
 import inspect
 import sys
+import textwrap
 
 import pytest
 import test_random_cells
@@ -87,13 +89,13 @@ def _pincherle_last(real, s):
 
 def _rebuilt(module, name, old, new):
     """`module.name` rebuilt in its module from its source with `old`
-    replaced by `new`."""
-    real = inspect.getsource(getattr(module, name))
+    replaced by `new`; a dotted name reaches a method of a class."""
+    real = textwrap.dedent(inspect.getsource(functools.reduce(getattr, name.split("."), module)))
     mutant = real.replace(old, new)
     assert mutant != real, f"{name} no longer contains {old!r}"
     namespace = dict(vars(module))
     exec(mutant, namespace)
-    return namespace[name]
+    return namespace[name.split(".")[-1]]
 
 
 def _solve_times_a1(mp):
@@ -105,6 +107,12 @@ def _solve_times_a1(mp):
     mp.setitem(sequences.BASIC_BUILDERS, "solve", _rebuilt(
         sequences, "_basic_solve",
         "pivots = [a(1) * psi.number(m + 1)", "pivots = [psi.number(m + 1) / a(1)"))
+
+
+def _product_drops_top(mp):
+    """The series product's a_k leaves out its i = k term, a_k b_0."""
+    mp.setattr(OperatorSeries, "__mul__", _rebuilt(
+        operators, "OperatorSeries.__mul__", "xs[:k + 1]", "xs[:k]"))
 
 
 def _dot_stale_denominator(mp):
@@ -178,6 +186,7 @@ MUTANTS = {
     "pincherle drops its last term": (
         lambda mp: _wrap(mp, [OperatorSeries], "pincherle", _pincherle_last),
         ("methods", "pincherle", "cells")),
+    "series product drops its i = k term": (_product_drops_top, ("methods", "cells")),
     "mutator_eigenvalue(9) + 1": (
         lambda mp: _wrap(mp, [PsiSequence], "mutator_eigenvalue", _mutator_9),
         ("qmutator", "nogo")),

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from psicalc.plane import (
@@ -11,7 +13,8 @@ from psicalc.plane import (
 )
 from psicalc.poly import Poly
 from psicalc.psi import classic, custom, fibonacci, monomial, qgauss, square, translate
-from psicalc.ratfun import ONE, QSYM, ZERO
+from psicalc.ratfun import ONE, QSYM, ZERO, rf
+from psicalc.verify import render_bivariate
 
 QG = qgauss()
 CL = classic()
@@ -87,3 +90,15 @@ def test_operators_commute_with_central_symbol():
 
 def test_convention_note_present():
     assert "b_0 = 1" in B0_CONVENTION
+
+
+@pytest.mark.parametrize("p, text", [
+    (Poly([Poly([ZERO, ONE + QSYM])]), "(1+q)y"),
+    (Poly([Poly(), Poly([rf(Fraction(1, 2))])]), "((1)/(2))x"),
+    (Poly([Poly([ZERO, -QSYM]), Poly(), Poly([ZERO, ZERO, ONE - QSYM])]), "-qy + (1-q)x^2y^2"),
+    (Poly(), "0"),
+])
+def test_render_bivariate(p, text):
+    # a coefficient with a sum, a quotient or an inner minus sign is
+    # parenthesised; a leading minus alone is not
+    assert render_bivariate(p) == text

@@ -27,14 +27,6 @@ def test_product_of_conjugates():
     assert got == Poly([-1, 0, 1])
 
 
-
-
-def test_compose_shift():
-    p = Poly([0, 0, 1])
-    inner = Poly([1, 1])
-    assert p.compose(inner) == Poly([1, 2, 1])
-
-
 def test_degree_of_product():
     a, b = Poly([1, 2, 3]), Poly([0, 0, 5])
     assert (a * b).degree == a.degree + b.degree
