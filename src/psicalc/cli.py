@@ -302,9 +302,13 @@ def _stdout(fmt: str | None, payload, text) -> str:
     replaced by the object it encodes.
     """
     if fmt == "json":
-        items = (json.dumps(k) + ": " + (v if isinstance(v, JSONText) else json.dumps(v))
-                 for k, v in payload.items())
-        return "{" + ", ".join(items) + "}\n"
+        # one join over every piece, so a large JSONText is copied once
+        pieces = []
+        for k, v in payload.items():
+            pieces += (", ", json.dumps(k), ": ", v if isinstance(v, JSONText) else json.dumps(v))
+        pieces[:1] = ["{"]  # in place of the first separator
+        pieces.append("}\n")
+        return "".join(pieces)
     if isinstance(text, list):
         # expand and nogo accept --format csv and print these same lines;
         # kept because perfbench/refs pins them byte for byte

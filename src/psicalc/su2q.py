@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .weyl import NumericCheck, cyclic_shift, inf_norm
+from .weyl import NumericCheck, cyclic_shift, inf_norm, matmul
 
 TOLERANCE = 1e-10  # default gate of both checks and of `spin --tolerance`
 
@@ -86,9 +86,9 @@ def _params(rep: SpinRep) -> dict:
 
 def su2_commutator_check(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericCheck:
     """Residuals of [J3, J+/-] = +/-J+/- and [J+, J-] = bracket(2 J3)."""
-    c12 = rep.j3 @ rep.jplus - rep.jplus @ rep.j3
-    c13 = rep.j3 @ rep.jminus - rep.jminus @ rep.j3
-    c23 = rep.jplus @ rep.jminus - rep.jminus @ rep.jplus
+    c12 = matmul(rep.j3, rep.jplus) - matmul(rep.jplus, rep.j3)
+    c13 = matmul(rep.j3, rep.jminus) - matmul(rep.jminus, rep.j3)
+    c23 = matmul(rep.jplus, rep.jminus) - matmul(rep.jminus, rep.jplus)
     b = rep.brackets  # [2m] for m = j .. -j, with [-x] = -[x]
     target = np.diag([b[x] if x >= 0 else -b[-x] for x in range(rep.j2, -rep.j2 - 1, -2)])
     residuals = {
@@ -137,18 +137,18 @@ def polar_decompose(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericCheck:
             return NumericCheck("polar", _params(rep), skipped="modulus not PSD for this q")
     guard = max(tolerance, 1e-12) * max(1.0, inf_norm(rep.jplus)) ** 2
     try:
-        modulus = _psd_sqrt(rep.jplus @ rep.jminus, guard)
-        comodulus = _psd_sqrt(rep.jminus @ rep.jplus, guard)
+        modulus = _psd_sqrt(matmul(rep.jplus, rep.jminus), guard)
+        comodulus = _psd_sqrt(matmul(rep.jminus, rep.jplus), guard)
     except ValueError as exc:
         return NumericCheck("polar", _params(rep), skipped=str(exc))
 
     ud = cyclic_shift(rep.dim)
     u = ud.T  # the shift is real, so its adjoint is its transpose
     residuals = {
-        "jminus_vs_u_modulus": inf_norm(rep.jminus - u @ modulus),
-        "jminus_vs_comodulus_u": inf_norm(rep.jminus - comodulus @ u),
-        "jplus_vs_modulus_udag": inf_norm(rep.jplus - modulus @ ud),
-        "jplus_vs_udag_comodulus": inf_norm(rep.jplus - ud @ comodulus),
+        "jminus_vs_u_modulus": inf_norm(rep.jminus - matmul(u, modulus)),
+        "jminus_vs_comodulus_u": inf_norm(rep.jminus - matmul(comodulus, u)),
+        "jplus_vs_modulus_udag": inf_norm(rep.jplus - matmul(modulus, ud)),
+        "jplus_vs_udag_comodulus": inf_norm(rep.jplus - matmul(ud, comodulus)),
     }
     return NumericCheck("polar", _params(rep), residuals, POLAR_CONVENTION,
                         max(residuals.values()) <= tolerance)

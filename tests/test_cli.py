@@ -543,6 +543,27 @@ def test_module_entry_point_subprocess():
     assert proc.stdout.splitlines()[5] == "4,4,24"
 
 
+def test_numeric_commands_import_no_module_after_the_cli():
+    # perfbench forks every operation from a process that has imported
+    # psicalc.cli, so a module imported on first use is paid in each one.
+    # Both sizes are at least weyl.DIAGONAL_PRODUCT_MIN_N, so matmul sums
+    # diagonals here.
+    code = (
+        "import contextlib, io, sys\n"
+        "import psicalc.cli as cli\n"
+        "before = set(sys.modules)\n"
+        "for argv in ('spin --j 40 --q 0.5', 'weyl --N 80'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        cli.main(argv.split() + ['--format', 'json'])\n"
+        "    assert out.getvalue().startswith('{'), argv\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_closed_stdout_exits_without_a_traceback():
     # the reader is gone before the first write, so every write fails
     proc = subprocess.Popen(

@@ -148,10 +148,10 @@ def _corner_dropped(real, n):
 def _moduli_swapped(mp):
     polar = _rebuilt(
         su2q, "polar_decompose",
-        "modulus = _psd_sqrt(rep.jplus @ rep.jminus, guard)\n"
-        "        comodulus = _psd_sqrt(rep.jminus @ rep.jplus, guard)",
-        "modulus = _psd_sqrt(rep.jminus @ rep.jplus, guard)\n"
-        "        comodulus = _psd_sqrt(rep.jplus @ rep.jminus, guard)")
+        "modulus = _psd_sqrt(matmul(rep.jplus, rep.jminus), guard)\n"
+        "        comodulus = _psd_sqrt(matmul(rep.jminus, rep.jplus), guard)",
+        "modulus = _psd_sqrt(matmul(rep.jminus, rep.jplus), guard)\n"
+        "        comodulus = _psd_sqrt(matmul(rep.jplus, rep.jminus), guard)")
     for owner in (su2q, verify):
         mp.setattr(owner, "polar_decompose", polar)
 

@@ -3,9 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from psicalc import su2q
+from psicalc.su2q import polar_decompose, su2_build, su2_commutator_check
 from psicalc.weyl import (
+    DIAGONAL_PRODUCT_MIN_N,
+    _diagonals,
     cyclic_shift,
     inf_norm,
+    matmul,
+    matrix_power,
     p_closed_form,
     shift_spectrum_residual,
     sylvester_matrix,
@@ -122,3 +128,96 @@ def test_small_dimension_rejected():
 
 def test_inf_norm_of_zero():
     assert inf_norm(np.eye(3, dtype=complex) - np.eye(3, dtype=complex)) == 0
+
+
+# matmul's two branches: summed diagonals at n >= DIAGONAL_PRODUCT_MIN_N when
+# both factors have at most two nonzero diagonals, BLAS otherwise
+PRODUCT_SIZES = (2, 63, 64, 65, 201, 256)
+
+
+def _products(n):
+    """(name, a, b, whether both factors have at most two diagonals)."""
+    rng = np.random.default_rng(n)
+    diag = np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    ladder = np.diag(np.sqrt(np.arange(1, n, dtype=complex)), 1)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    signed_zero = np.diag(np.where(np.arange(n) % 3 == 0, -0.0, np.arange(n) - 2.5)) + ladder
+    return [
+        ("diagonal x ladder", diag, ladder, True),
+        ("ladder x its transpose", ladder, np.ascontiguousarray(ladder.T), True),
+        ("ladder transpose view x diagonal", ladder.T, diag, True),
+        ("shift x clock", cyclic_shift(n), clock, True),
+        ("dense x diagonal", dense, diag, False),
+        ("all-zero x ladder", np.zeros((n, n), dtype=complex), ladder, True),
+        ("-0.0 on the diagonal x shift", signed_zero, cyclic_shift(n), True),
+        ("real -0.0 diagonal x ladder", np.diag(np.full(n, -0.0)), ladder, True),
+    ]
+
+
+@pytest.mark.parametrize("n", PRODUCT_SIZES)
+def test_matmul_agrees_with_dense_product(n):
+    for name, a, b, sparse in _products(n):
+        got, want = matmul(a, b), a @ b
+        assert got.dtype == want.dtype, name
+        tol = 1e-14 * inf_norm(a) * inf_norm(b)
+        assert inf_norm(got - want) <= tol, (n, name)
+        takes_diagonals = n >= DIAGONAL_PRODUCT_MIN_N and sparse
+        assert (_diagonals(a) is not None and _diagonals(b) is not None) == sparse, (n, name)
+        if not takes_diagonals:  # the BLAS branch returns a @ b itself
+            assert np.array_equal(got, want), (n, name)
+
+
+def test_diagonal_offsets_of_the_structured_matrices():
+    n = 64
+    assert _diagonals(cyclic_shift(n)) == (-(n - 1), 1)
+    assert _diagonals(cyclic_shift(n).T) == (-1, n - 1)
+    assert _diagonals(np.eye(n, k=-5)) == (-5,)
+    assert _diagonals(np.zeros((n, n))) == ()
+    assert _diagonals(np.eye(n) + np.eye(n, k=1) + np.eye(n, k=2)) is None
+    three = np.eye(n, k=1)
+    three[n - 1, 0] = three[5, 3] = 1.0
+    assert _diagonals(three) is None
+
+
+def _dense_reference_powers(n):
+    """Every k = 1 .. 2n up to n = 65; above, where one dense
+    np.linalg.matrix_power costs milliseconds, the k near 1, n and 2n and
+    the powers of two."""
+    if n <= DIAGONAL_PRODUCT_MIN_N + 1:
+        return set(range(1, 2 * n + 1))
+    return {1, 2, 3, n - 1, n, n + 1, 2 * n - 1, 2 * n} | {1 << e for e in range((2 * n).bit_length())}
+
+
+@pytest.mark.parametrize("n", PRODUCT_SIZES)
+def test_shift_and_clock_powers(n):
+    shift = cyclic_shift(n)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    dense = _dense_reference_powers(n)
+    for k in range(1, 2 * n + 1):
+        shift_k, clock_k = matrix_power(shift, k), matrix_power(clock, k)
+        # the shift's powers are permutations, exact in every product order;
+        # the clock's rounding grows with its k factors
+        assert np.array_equal(shift_k, np.eye(n, k=k % n) + np.eye(n, k=k % n - n)), k
+        want = np.diag(np.exp(2j * np.pi * (k * np.arange(n) % n) / n))
+        assert inf_norm(clock_k - want) <= 4e-15 * k, k
+        if k in dense:
+            assert np.array_equal(shift_k, np.linalg.matrix_power(shift, k)), k
+            assert inf_norm(clock_k - np.linalg.matrix_power(clock, k)) <= 1e-13, k
+
+
+def test_matrix_power_rejects_non_positive_exponents():
+    with pytest.raises(ValueError):
+        matrix_power(cyclic_shift(3), 0)
+
+
+@pytest.mark.parametrize("q", [None, 0.5, 1.5, 1.0000001])
+def test_spin_residuals_match_dense_products(q, monkeypatch):
+    rep = su2_build(100, q)
+    got = [su2_commutator_check(rep).residuals, polar_decompose(rep).residuals]
+    monkeypatch.setattr(su2q, "matmul", lambda a, b: a @ b)
+    want = [su2_commutator_check(rep).residuals, polar_decompose(rep).residuals]
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for name in w:
+            assert abs(g[name] - w[name]) <= 1e-15 * abs(w[name]), (q, name, g[name], w[name])
