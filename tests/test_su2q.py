@@ -11,7 +11,7 @@ from psicalc.su2q import (
     su2_build,
     su2_commutator_check,
 )
-from psicalc.weyl import inf_norm
+from psicalc.weyl import DIAGONAL_PRODUCT_MIN_N, Diagonals, inf_norm, operand
 
 Q_SET = (0.5, 1.5, 2.0, np.exp(1j * np.pi / 7), np.exp(1j * np.pi / 12))
 
@@ -121,9 +121,11 @@ def test_polar_identities_grid():
             assert pol.convention["unitary"] == "adjoint(sigma1)"
 
 
-def test_polar_fails_ladders_above_the_other_diagonal():
+# 3/2 and 3 run on dense arrays, 32 (dimension 65) on diagonals
+@pytest.mark.parametrize("j", [3 / 2, 3, 32])
+def test_polar_fails_ladders_above_the_other_diagonal(j):
     # J- above the diagonal would fit the shift itself, not its adjoint
-    rep = su2_build(3 / 2, q=1.5)
+    rep = su2_build(j, q=1.5)
     flipped = dataclasses.replace(rep, jplus=rep.jminus, jminus=rep.jplus)
     pol = polar_decompose(flipped)
     assert not pol.ok and pol.convention["unitary"] == "adjoint(sigma1)"
@@ -134,31 +136,47 @@ def test_polar_rejects_indefinite_modulus():
     assert pol.skipped == "modulus not PSD for this q" and pol.ok and not pol.residuals
 
 
-def test_polar_skips_non_diagonal_modulus():
-    rep = su2_build(1)
-    bent = dataclasses.replace(rep, jplus=rep.jplus + np.triu(np.ones((3, 3)), 2))
+@pytest.mark.parametrize("j", [1, 32])
+def test_polar_skips_non_diagonal_modulus(j):
+    rep = su2_build(j)
+    bent = dataclasses.replace(rep, jplus=rep.jplus + np.triu(np.ones((rep.dim, rep.dim)), 2))
     pol = polar_decompose(bent)
     assert pol.skipped == "not diagonal" and pol.ok and not pol.residuals
 
 
-def test_psd_sqrt_simple():
-    got = _psd_sqrt(np.diag([4.0, 9.0]).astype(complex), 0.0)
-    assert inf_norm(got - np.diag([2.0, 3.0])) == 0
+# _psd_sqrt takes and returns an operand: the dense array below
+# DIAGONAL_PRODUCT_MIN_N, Diagonals from there on
+PSD_SIZES = (2, DIAGONAL_PRODUCT_MIN_N)
 
 
-def test_psd_sqrt_rejects_non_diagonal():
+@pytest.mark.parametrize("n", PSD_SIZES)
+def test_psd_sqrt_simple(n):
+    roots = np.arange(2.0, n + 2.0)
+    got = _psd_sqrt(operand(np.diag(roots ** 2).astype(complex)), 0.0)
+    assert isinstance(got, Diagonals) == (n >= DIAGONAL_PRODUCT_MIN_N)
+    assert inf_norm(got - operand(np.diag(roots).astype(complex))) == 0
+
+
+@pytest.mark.parametrize("n", PSD_SIZES)
+def test_psd_sqrt_rejects_non_diagonal(n):
+    bent = np.eye(n, dtype=complex)
+    bent[0, 1] = 1
     with pytest.raises(ValueError, match="not diagonal"):
-        _psd_sqrt(np.array([[1, 1], [0, 1]], dtype=complex), 0.0)
+        _psd_sqrt(operand(bent), 0.0)
 
 
-def test_psd_sqrt_rejects_negative_real_part():
+@pytest.mark.parametrize("n", PSD_SIZES)
+def test_psd_sqrt_rejects_negative_real_part(n):
+    d = np.ones(n, dtype=complex)
+    d[0] = -1.0
     with pytest.raises(ValueError):
-        _psd_sqrt(np.diag([-1.0, 1.0]).astype(complex), 0.0)
+        _psd_sqrt(operand(np.diag(d)), 0.0)
 
 
 @given(st.lists(st.floats(min_value=1e-6, max_value=100.0), min_size=1, max_size=8))
 @settings(max_examples=80)
 def test_psd_sqrt_squares_back(entries):
-    d = np.diag(np.array(entries, dtype=complex))
-    r = _psd_sqrt(d, 0.0)
-    assert inf_norm(r @ r - d) <= 1e-13
+    for d in (np.diag(np.array(entries, dtype=complex)),
+              np.diag(np.resize(np.array(entries, dtype=complex), DIAGONAL_PRODUCT_MIN_N))):
+        r = _psd_sqrt(operand(d), 0.0)
+        assert inf_norm(r @ r - operand(d)) <= 1e-13

@@ -1,18 +1,19 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from psicalc import su2q
+from psicalc import weyl
 from psicalc.su2q import polar_decompose, su2_build, su2_commutator_check
 from psicalc.weyl import (
     DIAGONAL_PRODUCT_MIN_N,
-    _diagonals,
+    Diagonals,
     cyclic_shift,
     inf_norm,
-    matmul,
-    matrix_power,
+    operand,
     p_closed_form,
+    power,
     shift_spectrum_residual,
     sylvester_matrix,
     weyl_build,
@@ -130,54 +131,100 @@ def test_inf_norm_of_zero():
     assert inf_norm(np.eye(3, dtype=complex) - np.eye(3, dtype=complex)) == 0
 
 
-# matmul's two branches: summed diagonals at n >= DIAGONAL_PRODUCT_MIN_N when
-# both factors have at most two nonzero diagonals, BLAS otherwise
+# the two forms of operand: the dense array below DIAGONAL_PRODUCT_MIN_N,
+# whose products are BLAS's, and its Diagonals from there on
 PRODUCT_SIZES = (2, 63, 64, 65, 201, 256)
 
 
+def _dense(x):
+    """The n x n array of an operand of either form."""
+    if not isinstance(x, Diagonals):
+        return x
+    out = np.zeros((x.n, x.n), dtype=complex)
+    for p, v in x.items():
+        out += np.diag(v, p)
+    return out
+
+
 def _products(n):
-    """(name, a, b, whether both factors have at most two diagonals)."""
+    """(name, a, b) factor pairs."""
     rng = np.random.default_rng(n)
     diag = np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     ladder = np.diag(np.sqrt(np.arange(1, n, dtype=complex)), 1)
     clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
     dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     signed_zero = np.diag(np.where(np.arange(n) % 3 == 0, -0.0, np.arange(n) - 2.5)) + ladder
+    tri = ladder.T + diag + 1j * ladder
     return [
-        ("diagonal x ladder", diag, ladder, True),
-        ("ladder x its transpose", ladder, np.ascontiguousarray(ladder.T), True),
-        ("ladder transpose view x diagonal", ladder.T, diag, True),
-        ("shift x clock", cyclic_shift(n), clock, True),
-        ("dense x diagonal", dense, diag, False),
-        ("all-zero x ladder", np.zeros((n, n), dtype=complex), ladder, True),
-        ("-0.0 on the diagonal x shift", signed_zero, cyclic_shift(n), True),
-        ("real -0.0 diagonal x ladder", np.diag(np.full(n, -0.0)), ladder, True),
+        ("diagonal x ladder", diag, ladder),
+        ("ladder x its transpose", ladder, np.ascontiguousarray(ladder.T)),
+        ("ladder transpose view x diagonal", ladder.T, diag),
+        ("shift x clock", cyclic_shift(n), clock),
+        ("dense x diagonal", dense, diag),
+        ("all-zero x ladder", np.zeros((n, n), dtype=complex), ladder),
+        ("-0.0 on the diagonal x shift", signed_zero, cyclic_shift(n)),
+        ("real -0.0 diagonal x ladder", np.diag(np.full(n, -0.0)), ladder),
+        ("tridiagonal squared: three terms a diagonal entry", tri, tri),
     ]
 
 
+def _product_by_entries(x, y):
+    """The dense x @ y of two Diagonals: each pair of diagonals adds its
+    terms to their entries, in ascending offset of x, then of y."""
+    n, i = x.n, np.arange(x.n)
+    out = np.zeros((n, n), dtype=complex)
+    for p, a in x.items():
+        for q, b in y.items():
+            rows = i[(0 <= i + p) & (i + p < n) & (0 <= i + p + q) & (i + p + q < n)]
+            out[rows, rows + p + q] += a[rows - max(0, -p)] * b[rows + p - max(0, -q)]
+    return out
+
+
 @pytest.mark.parametrize("n", PRODUCT_SIZES)
-def test_matmul_agrees_with_dense_product(n):
-    for name, a, b, sparse in _products(n):
-        got, want = matmul(a, b), a @ b
-        assert got.dtype == want.dtype, name
-        tol = 1e-14 * inf_norm(a) * inf_norm(b)
-        assert inf_norm(got - want) <= tol, (n, name)
-        takes_diagonals = n >= DIAGONAL_PRODUCT_MIN_N and sparse
-        assert (_diagonals(a) is not None and _diagonals(b) is not None) == sparse, (n, name)
-        if not takes_diagonals:  # the BLAS branch returns a @ b itself
+def test_operands_agree_with_dense_arrays(n):
+    omega = complex(np.exp(2j * np.pi / n))
+    for name, a, b in _products(n):
+        x, y = operand(a), operand(b)
+        if n < DIAGONAL_PRODUCT_MIN_N:
+            assert x is a and y is b, name
+        else:
+            assert isinstance(x, Diagonals) and isinstance(y, Diagonals), name
+            assert np.array_equal(_dense(x), a) and np.array_equal(_dense(x.T), a.T), name
+        # sums, differences and scalar multiples: the same entries, so the
+        # same residuals bit for bit
+        assert inf_norm(x - y) == inf_norm(a - b), (n, name)
+        assert inf_norm(x + y) == inf_norm(a + b), (n, name)
+        assert inf_norm(omega * x - y) == inf_norm(omega * a - b), (n, name)
+        # products: BLAS's below the size; from it on the diagonals' sums,
+        # in their order, and BLAS's to rounding
+        got, want = x @ y, a @ b
+        if n < DIAGONAL_PRODUCT_MIN_N:
             assert np.array_equal(got, want), (n, name)
+        else:
+            assert np.array_equal(_dense(got), _product_by_entries(x, y)), (n, name)
+        assert inf_norm(_dense(got) - want) <= 1e-14 * inf_norm(a) * inf_norm(b), (n, name)
+        assert inf_norm(got - operand(want)) == inf_norm(_dense(got) - want), (n, name)
 
 
 def test_diagonal_offsets_of_the_structured_matrices():
     n = 64
-    assert _diagonals(cyclic_shift(n)) == (-(n - 1), 1)
-    assert _diagonals(cyclic_shift(n).T) == (-1, n - 1)
-    assert _diagonals(np.eye(n, k=-5)) == (-5,)
-    assert _diagonals(np.zeros((n, n))) == ()
-    assert _diagonals(np.eye(n) + np.eye(n, k=1) + np.eye(n, k=2)) is None
+    assert list(Diagonals.of(cyclic_shift(n))) == [-(n - 1), 1]
+    assert list(Diagonals.of(cyclic_shift(n).T)) == [-1, n - 1]
+    assert list(Diagonals.of(np.eye(n, k=-5))) == [-5]
+    assert list(Diagonals.of(np.zeros((n, n)))) == []
+    assert list(Diagonals.of(np.diag(np.full(n, -0.0)))) == [0]  # nonzero bits
     three = np.eye(n, k=1)
     three[n - 1, 0] = three[5, 3] = 1.0
-    assert _diagonals(three) is None
+    assert list(Diagonals.of(three)) == [-(n - 1), -2, 1]
+    assert inf_norm(Diagonals.of(np.zeros((n, n)))) == 0.0
+
+
+@pytest.mark.parametrize("n", PRODUCT_SIZES)
+def test_operand_of_given_diagonals(n):
+    # the cyclic shift by its two diagonals; n is read off their lengths
+    x = operand({1 - n: np.ones(1, dtype=complex), 1: np.ones(n - 1, dtype=complex)})
+    assert isinstance(x, Diagonals) == (n >= DIAGONAL_PRODUCT_MIN_N)
+    assert np.array_equal(_dense(x), cyclic_shift(n))
 
 
 def _dense_reference_powers(n):
@@ -195,7 +242,8 @@ def test_shift_and_clock_powers(n):
     clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
     dense = _dense_reference_powers(n)
     for k in range(1, 2 * n + 1):
-        shift_k, clock_k = matrix_power(shift, k), matrix_power(clock, k)
+        shift_k = _dense(power(operand(shift), k))
+        clock_k = _dense(power(operand(clock), k))
         # the shift's powers are permutations, exact in every product order;
         # the clock's rounding grows with its k factors
         assert np.array_equal(shift_k, np.eye(n, k=k % n) + np.eye(n, k=k % n - n)), k
@@ -206,18 +254,58 @@ def test_shift_and_clock_powers(n):
             assert inf_norm(clock_k - np.linalg.matrix_power(clock, k)) <= 1e-13, k
 
 
-def test_matrix_power_rejects_non_positive_exponents():
+def test_power_rejects_non_positive_exponents():
     with pytest.raises(ValueError):
-        matrix_power(cyclic_shift(3), 0)
+        power(cyclic_shift(3), 0)
+
+
+def _all_dense(monkeypatch):
+    """Every operand dense, whatever its size."""
+    monkeypatch.setattr(weyl, "DIAGONAL_PRODUCT_MIN_N", 1 << 30)
+
+
+def _assert_residuals_match(got, want):
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for name in w:
+            assert abs(g[name] - w[name]) <= 1e-15 * abs(w[name]), (name, g[name], w[name])
 
 
 @pytest.mark.parametrize("q", [None, 0.5, 1.5, 1.0000001])
 def test_spin_residuals_match_dense_products(q, monkeypatch):
     rep = su2_build(100, q)
     got = [su2_commutator_check(rep).residuals, polar_decompose(rep).residuals]
-    monkeypatch.setattr(su2q, "matmul", lambda a, b: a @ b)
+    _all_dense(monkeypatch)
     want = [su2_commutator_check(rep).residuals, polar_decompose(rep).residuals]
-    for g, w in zip(got, want):
-        assert g.keys() == w.keys()
-        for name in w:
-            assert abs(g[name] - w[name]) <= 1e-15 * abs(w[name]), (q, name, g[name], w[name])
+    _assert_residuals_match(got, want)
+
+
+@pytest.mark.parametrize("n", [64, 101])
+def test_weyl_residuals_match_dense_products(n, monkeypatch):
+    pair = weyl_build(n)
+    got = weyl_check(pair).residuals
+    _all_dense(monkeypatch)
+    want = weyl_check(pair).residuals
+    # BLAS rounds the clock's complex products its own way: sigma2**n
+    # differs in the last bits, within the clock-power bound above
+    assert abs(got.pop("sigma2_pow_n") - want.pop("sigma2_pow_n")) <= 4e-15 * n
+    _assert_residuals_match([got], [want])
+
+
+def _peak_bytes(fn, *args):
+    fn(*args)  # first-call work is not the check's
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spin_checks_hold_no_dense_matrix_at_large_j():
+    # from n = 64 on the checks work on diagonals: their peak stays below
+    # one 201 x 201 complex array, which each dense product or difference is
+    rep = su2_build(100, q=0.5)
+    one_matrix = rep.dim ** 2 * 16
+    assert _peak_bytes(su2_commutator_check, rep) < one_matrix
+    assert _peak_bytes(polar_decompose, rep) < one_matrix
