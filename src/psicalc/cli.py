@@ -4,9 +4,12 @@ Every command is a function `cmd_*(args)` that computes its result and
 writes nothing.  It returns `(exit code, payload, text)`: `payload` is
 what `--format json` prints, and `text` is either a list of lines or a
 `(header, rows)` table of strings.  `main` alone writes stdout: the JSON
-payload, a csv table, padded text columns, or the lines as they are.  A
-payload value may be JSON text rendered ahead (`JSONText`): `spin` and
-`weyl` render each matrix straight to text, by runs of equal entries.
+payload, a csv table, padded text columns, or the lines as they are, as
+the pieces `_stdout` yields.  A payload value may be a generator of JSON
+text (`_matrix_json`): `spin` and `weyl` render each matrix by runs of
+equal entries, one row at a time, only as `main` writes it, so neither a
+whole matrix's text nor the whole output is ever held.  Every command has
+computed its arrays and checks before the first byte is written.
 `COMMANDS` registers each command with its help and arguments.  `main`
 reads a plain argv (a command and then flag, value pairs) straight from it,
 and builds the argparse tree only for help and usage errors, whose texts
@@ -19,7 +22,9 @@ a verification failure, 2 for usage errors (an input too large for memory
 among them, and a verify worker process that the system killed, as the
 out-of-memory killer does), and 141 (128 + SIGPIPE, what a shell reports for
 a tool the signal ends) when the reader closes stdout before all the output
-is written, as `psicalc ... | head -n 1` does.
+is written, as `psicalc ... | head -n 1` does.  An error raised before the
+first write leaves stdout empty; one raised while a matrix is written (an
+out-of-memory, say) cuts the output short.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
+from types import GeneratorType
 
 from . import plane as plane_mod
 from .expansion import expand_operator, reconstruct_operator
@@ -198,28 +204,27 @@ def cmd_nogo(args: argparse.Namespace) -> tuple:
                                 f"note: {plane_mod.B0_CONVENTION}"]
 
 
-class JSONText(str):
-    """A payload value that is already JSON text; `_stdout` writes it as it is."""
+def _matrix_json(a):
+    """The JSON text of [re, im] of every entry of the 2-D array `a`, in
+    pieces: "[" with the first row, ", " with each later row, then "]".
 
-
-def _matrix_json(a) -> JSONText:
-    """The JSON text of [re, im] of every entry of the 2-D array `a`.
-
-    The bytes are those of `json.dumps` over the per-entry lists.  A row is
+    The text is that of `json.dumps` over the per-entry lists.  A row is
     read as runs of entries with equal bits, and a run of L entries is its
     one cell written L times, so a diagonal or one-off-diagonal matrix costs
     Python-object work per row and run, not per entry.  Each distinct float
     among the run heads is written once, by one `json.dumps` over the
     distinct values, so json itself spells NaN, Infinity and 5e-324.  Equal
     and distinct mean equal and distinct bits: comparing values would merge
-    -0.0 with 0.0 and every NaN with the others.
+    -0.0 with 0.0 and every NaN with the others.  Nothing is read before
+    the first piece is asked for, and the text is joined one row at a time.
     """
     import numpy as np  # only spin and weyl print matrices
 
-    c = a.astype(complex, order="C")
+    c = np.ascontiguousarray(a, dtype=complex)  # no copy: spin's and weyl's already are
     rows, cols = c.shape
     if not c.size:
-        return JSONText(json.dumps([[]] * rows))
+        yield json.dumps([[]] * rows)
+        return
     # One mark per float: 1 where its bits differ from those of the float
     # two places back (the same part of the left neighbour).  Each row's
     # first entry is then marked 2, 2, and so is an end sentinel.  Read as
@@ -248,8 +253,11 @@ def _matrix_json(a) -> JSONText:
         re, _, im, _ = cells[r].tolist()
         cells[r, 2] = im + ("], [" + re + ", " + im) * k
     pieces = cells.reshape(-1)
-    return JSONText("[" + ", ".join(["[[" + "".join(pieces[4 * s:4 * e - 1].tolist()) + "]]"
-                                     for s, e in zip(row_runs, row_runs[1:])]) + "]")
+    sep = "["
+    for s, e in zip(row_runs, row_runs[1:]):
+        yield sep + "[[" + "".join(pieces[4 * s:4 * e - 1].tolist()) + "]]"
+        sep = ", "
+    yield "]"
 
 
 def cmd_spin(args: argparse.Namespace) -> tuple:
@@ -292,35 +300,43 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
     return (0 if count["FAIL"] == 0 else 1), None, [r.line() for r in results] + [summary]
 
 
-def _stdout(fmt: str | None, payload, text) -> str:
-    """The stdout of one command: its payload as JSON, its table as csv or
-    padded columns, or its lines.
+def _stdout(fmt: str | None, payload, text):
+    """The stdout of one command, in pieces: its payload as JSON, its table
+    as csv or padded columns, or its lines.
 
-    The payload is a dict.  A value that is `JSONText` is already rendered
-    and goes in as it is; every other value goes through `json.dumps`.  The
-    text equals `json.dumps` of the payload with each `JSONText` value
-    replaced by the object it encodes.
+    The payload is a dict.  A value that is a generator (`_matrix_json`'s)
+    yields its own JSON text in pieces, read only when its key is reached;
+    every other value goes through `json.dumps`.  The pieces join to
+    `json.dumps` of the payload with each generator replaced by the object
+    it encodes.  A payload with no generator, and every table or list of
+    lines, is one piece.
     """
     if fmt == "json":
-        # one join over every piece, so a large JSONText is copied once
-        pieces = []
+        pieces = ["{"]
         for k, v in payload.items():
-            pieces += (", ", json.dumps(k), ": ", v if isinstance(v, JSONText) else json.dumps(v))
-        pieces[:1] = ["{"]  # in place of the first separator
-        pieces.append("}\n")
-        return "".join(pieces)
-    if isinstance(text, list):
+            pieces += (json.dumps(k), ": ")
+            if isinstance(v, GeneratorType):
+                yield "".join(pieces)
+                yield from v
+                pieces = []
+            else:
+                pieces.append(json.dumps(v))
+            pieces.append(", ")
+        pieces[-1] = "}\n"  # in place of the last separator
+        yield "".join(pieces)
+    elif isinstance(text, list):
         # expand and nogo accept --format csv and print these same lines;
         # kept because perfbench/refs pins them byte for byte
-        return "".join(line + "\n" for line in text)
-    header, rows = text
-    if fmt == "csv":
+        yield "".join(line + "\n" for line in text)
+    elif fmt == "csv":
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-        return buf.getvalue()
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
-    return "".join("  ".join(v.ljust(w) for v, w in zip(r, widths)) + "\n"
-                   for r in [header, *rows])
+        csv.writer(buf, lineterminator="\n").writerows([text[0], *text[1]])
+        yield buf.getvalue()
+    else:
+        header, rows = text
+        widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
+        yield "".join("  ".join(v.ljust(w) for v, w in zip(r, widths)) + "\n"
+                      for r in [header, *rows])
 
 
 def _parse_complex(text: str) -> complex:
@@ -466,11 +482,11 @@ def main(argv=None) -> int:
             # building and running it is most of a small command's time.
             args = _plain_args(argv) or build_parser().parse_args(argv)
             code, payload, text = args.run(args)
-            out = _stdout(getattr(args, "format", None), payload, text)
-            # In pieces no larger than the io buffer: a larger write that the
+            # In slices no larger than the io buffer: a larger write that the
             # reader cuts short is dropped without an error, hiding the 141.
-            for i in range(0, len(out), io.DEFAULT_BUFFER_SIZE):
-                sys.stdout.write(out[i:i + io.DEFAULT_BUFFER_SIZE])
+            for out in _stdout(getattr(args, "format", None), payload, text):
+                for i in range(0, len(out), io.DEFAULT_BUFFER_SIZE):
+                    sys.stdout.write(out[i:i + io.DEFAULT_BUFFER_SIZE])
         except SystemExit as exc:  # argparse has printed the help or the usage error
             code = USAGE_ERROR if exc.code not in (0, None) else 0
         except (ValueError, ZeroDivisionError) as exc:

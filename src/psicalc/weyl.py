@@ -267,18 +267,31 @@ def weyl_check(pair: WeylPair) -> NumericCheck:
     """Test every generator identity in the convention WEYL_CONVENTION
     records, and gate each residual by WEYL_GATES."""
     n = pair.n
-    eye = np.eye(n, dtype=complex)
-    one, shift, clock = operand(eye), operand(pair.sigma1), operand(pair.sigma2)
-    diff = pair.pmat - p_closed_form(n)
-    res = {
-        "sigma1_pow_n": inf_norm(power(shift, n) - one),
-        "sigma2_pow_n": inf_norm(power(clock, n) - one),
-        "s_unitary": inf_norm(pair.smat.conj().T @ pair.smat - eye),
-        "weyl_relation": inf_norm(shift @ clock - (pair.omega * clock) @ shift),
-        "omega_p_vs_shift": inf_norm(pair.omega_p - pair.sigma1.conj().T),
-        "p_offdiagonal": inf_norm(diff - np.diag(np.diag(diff))),
-        "p_diagonal": inf_norm(np.diag(pair.pmat) - (n - 1) / 2.0),
-    }
+    # the identity as a check's operand; no np.ones below the size, where
+    # its first use in a forked CLI process costs more than np.eye
+    if n < DIAGONAL_PRODUCT_MIN_N:
+        one = np.eye(n, dtype=complex)
+    else:
+        one = Diagonals(n, {0: np.ones(n, dtype=complex)})
+    shift, clock = operand(pair.sigma1), operand(pair.sigma2)
+    res = {"sigma1_pow_n": inf_norm(power(shift, n) - one),
+           "sigma2_pow_n": inf_norm(power(clock, n) - one)}
+    # Each dense residual is one n x n array, differenced in place and
+    # freed before the next (subtracting 0 off the diagonal keeps its bits).
+    diff = pair.smat.conj().T @ pair.smat
+    diff.flat[::n + 1] -= 1.0  # the diagonal
+    res["s_unitary"] = inf_norm(diff)
+    del diff
+    res["weyl_relation"] = inf_norm(shift @ clock - (pair.omega * clock) @ shift)
+    diff = pair.sigma1.conj().T  # its own copy, so it can hold the difference
+    np.subtract(pair.omega_p, diff, out=diff)
+    res["omega_p_vs_shift"] = inf_norm(diff)
+    del diff
+    diff = p_closed_form(n)
+    np.subtract(pair.pmat, diff, out=diff)
+    np.fill_diagonal(diff, 0.0)
+    res["p_offdiagonal"] = inf_norm(diff)
+    res["p_diagonal"] = inf_norm(np.diag(pair.pmat) - (n - 1) / 2.0)
     return NumericCheck("weyl", {"n": n}, res, WEYL_CONVENTION,
                         all(res[k] <= WEYL_GATES[k] for k in res))
 

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,8 +77,8 @@ def test_commands_return_their_output_and_write_nothing(capsys, argv):
     else:
         assert isinstance(text, list) and all(isinstance(line, str) for line in text)
     # main writes exactly what the command returned
-    assert run_cli(capsys, *argv) == (code, cli._stdout(getattr(args, "format", None),
-                                                        payload, text))
+    assert run_cli(capsys, *argv) == (code, "".join(cli._stdout(getattr(args, "format", None),
+                                                                payload, text)))
 
 
 def test_spin_and_weyl_build_matrices_only_for_json():
@@ -128,7 +130,7 @@ def test_matrix_json_equals_the_per_entry_loop():
               signed_zeros, zero_cells, two_nans, nan_cells,
               runs64, runs64.T, distinct.astype(np.complex64), *ladders,
               clock.sigma1, clock.sigma2):
-        assert cli._matrix_json(a) == json.dumps(_matrix_json_per_entry(a))
+        assert "".join(cli._matrix_json(a)) == json.dumps(_matrix_json_per_entry(a))
 
 
 SPIN_Q = (None, "0.5", "1.5", "2.0",  # the --q values of the numeric benchmark workload
@@ -151,6 +153,45 @@ def test_numeric_json_equals_the_per_entry_payload(capsys, monkeypatch, argv):
     args = cli.build_parser().parse_args(argv)
     ref_code, payload, _ = args.run(args)
     assert (code, out) == (ref_code, json.dumps(payload) + "\n")
+
+
+@pytest.mark.parametrize("argv, code, limit", [
+    pytest.param(["weyl", "--N", "256", "--format", "json"], 0, 12_000_000, id="weyl"),
+    pytest.param(["spin", "--j", "100", "--q", "0.5", "--format", "json"], 1, 3_500_000,
+                 id="spin"),
+])
+def test_matrix_json_is_written_row_by_row(argv, code, limit):
+    # 7.0 MB and 1.5 MB of output: streamed, the peak is the arrays, the
+    # checks and one matrix's runs, not the matrix texts or their join
+    with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+        main(argv)  # first-call work is not the output's
+        tracemalloc.start()
+        try:
+            assert main(argv) == code
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < limit
+
+
+def test_out_of_memory_while_a_matrix_is_written_cuts_the_output_short(capsys, monkeypatch):
+    render, calls = cli._matrix_json, []
+
+    def second_fails_after_a_row(a):
+        calls.append(a)
+        for i, piece in enumerate(render(a)):
+            if len(calls) == 2 and i == 1:
+                raise MemoryError
+            yield piece
+
+    monkeypatch.setattr(cli, "_matrix_json", second_fails_after_a_row)
+    assert main(["weyl", "--N", "3", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory; try a smaller size\n"
+    pair = weyl_build(3)
+    sigma1, sigma2 = (_matrix_json_per_entry(m) for m in (pair.sigma1, pair.sigma2))
+    assert captured.out == ('{"n": 3, "sigma1": ' + json.dumps(sigma1) + ', "sigma2": ['
+                            + json.dumps(sigma2[0]))
 
 
 def test_laguerre_json_matches_library(capsys):
@@ -577,16 +618,27 @@ def test_closed_stdout_exits_without_a_traceback():
     assert err == b""
 
 
-def test_reader_leaving_mid_output_exits_141():
-    # 220 kB of csv, more than a pipe holds: the reader leaves after 100 bytes
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "psicalc", "table", "--psi", "qgauss", "--N", "36",
-         "--format", "csv"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    assert proc.stdout.read(100).startswith(b"n,n_psi,n_psi_fact\n")
+def _reader_leaving_after_100_bytes(argv, head):
+    """Exit code and stderr of psicalc when its reader closes the pipe after
+    the first 100 bytes, which must start with `head`."""
+    proc = subprocess.Popen([sys.executable, "-m", "psicalc", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(100).startswith(head)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=120) == CLOSED_STDOUT
-    assert err == b""
+    return proc.wait(timeout=120), err
+
+
+def test_reader_leaving_mid_output_exits_141():
+    # 220 kB of csv, more than a pipe holds
+    argv = ["table", "--psi", "qgauss", "--N", "36", "--format", "csv"]
+    assert _reader_leaving_after_100_bytes(argv, b"n,n_psi,n_psi_fact\n") == (CLOSED_STDOUT, b"")
+
+
+def test_reader_leaving_mid_matrix_exits_141():
+    # 1.8 MB of JSON, written a matrix row at a time; the reader leaves
+    # inside the first matrix
+    argv = ["weyl", "--N", "128", "--format", "json"]
+    head = b'{"n": 128, "sigma1": [[[0.0, 0.0], '
+    assert _reader_leaving_after_100_bytes(argv, head) == (CLOSED_STDOUT, b"")

@@ -309,3 +309,10 @@ def test_spin_checks_hold_no_dense_matrix_at_large_j():
     one_matrix = rep.dim ** 2 * 16
     assert _peak_bytes(su2_commutator_check, rep) < one_matrix
     assert _peak_bytes(polar_decompose, rep) < one_matrix
+
+
+def test_weyl_check_holds_one_dense_temporary_at_a_time():
+    # each residual that reads smat, omega_p or pmat is one n x n array,
+    # differenced in place and freed before the next; p_closed_form's index
+    # table and its result set the peak (a 256 x 256 complex array is 1 MiB)
+    assert _peak_bytes(weyl_check, weyl_build(256)) < 3_000_000
