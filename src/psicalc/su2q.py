@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .weyl import NumericCheck, inf_norm, operand
+from .weyl import Diagonals, NumericCheck, inf_norm
 
 TOLERANCE = 1e-10  # default gate of both checks and of `spin --tolerance`
 
@@ -86,10 +86,10 @@ def _params(rep: SpinRep) -> dict:
 
 def su2_commutator_check(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericCheck:
     """Residuals of [J3, J+/-] = +/-J+/- and [J+, J-] = bracket(2 J3)."""
-    j3, jplus, jminus = operand(rep.j3), operand(rep.jplus), operand(rep.jminus)
+    j3, jplus, jminus = Diagonals.of(rep.j3), Diagonals.of(rep.jplus), Diagonals.of(rep.jminus)
     b = rep.brackets  # [2m] for m = j .. -j, with [-x] = -[x]
-    target = operand({0: np.array([b[x] if x >= 0 else -b[-x]
-                                   for x in range(rep.j2, -rep.j2 - 1, -2)])})
+    target = Diagonals(rep.dim, {0: np.array([b[x] if x >= 0 else -b[-x]
+                                              for x in range(rep.j2, -rep.j2 - 1, -2)])})
     residuals = {
         "j3_jplus": inf_norm(j3 @ jplus - jplus @ j3 - jplus),
         "j3_jminus": inf_norm(j3 @ jminus - jminus @ j3 + jminus),
@@ -99,19 +99,18 @@ def su2_commutator_check(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericC
     return NumericCheck("commutators", _params(rep), residuals, ok=ok)
 
 
-def _psd_sqrt(prod, tol: float):
-    """Square root of a diagonal, positive semidefinite ladder product, an
-    operand of either form.
+def _psd_sqrt(prod: Diagonals, tol: float) -> Diagonals:
+    """Square root of a diagonal, positive semidefinite ladder product.
 
     Off-diagonal entries, negative real parts or imaginary parts beyond tol
     reject it; negative rounding noise within tol is clipped to zero.
     """
     d = prod.diagonal()
-    if inf_norm(prod - operand({0: d})) > tol:
+    if inf_norm(prod - Diagonals(prod.n, {0: d})) > tol:
         raise ValueError("not diagonal")
     if np.any(d.real < -tol) or np.any(np.abs(d.imag) > tol):
         raise ValueError("modulus not PSD for this q")
-    return operand({0: np.sqrt(np.clip(d.real, 0.0, None).astype(complex))})
+    return Diagonals(prod.n, {0: np.sqrt(np.clip(d.real, 0.0, None).astype(complex))})
 
 
 # J- lowers m in the basis m = j ... -j, so it sits below the diagonal, and
@@ -135,7 +134,7 @@ def polar_decompose(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericCheck:
     for v in rep.brackets[1:]:
         if abs(v.imag) > 1e-9 * max(1.0, abs(v)) or v.real <= 1e-9:
             return NumericCheck("polar", _params(rep), skipped="modulus not PSD for this q")
-    jplus, jminus = operand(rep.jplus), operand(rep.jminus)
+    jplus, jminus = Diagonals.of(rep.jplus), Diagonals.of(rep.jminus)
     guard = max(tolerance, 1e-12) * max(1.0, inf_norm(jplus)) ** 2
     try:
         modulus = _psd_sqrt(jplus @ jminus, guard)
@@ -143,11 +142,9 @@ def polar_decompose(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericCheck:
     except ValueError as exc:
         return NumericCheck("polar", _params(rep), skipped=str(exc))
 
-    # the cyclic shift: ones above the diagonal and in the corner (from a
-    # list: on a 2-vCPU x86_64 VM np.ones took 60 us on its first call in a
-    # forked CLI process, np.array 3 us)
-    n, ones = rep.dim, np.array([1.0] * rep.dim, dtype=complex)
-    ud = operand({1 - n: ones[:1], 1: ones[1:]})
+    # the cyclic shift: ones above the diagonal and in the corner
+    n, ones = rep.dim, np.ones(rep.dim, dtype=complex)
+    ud = Diagonals(n, {1 - n: ones[:1], 1: ones[1:]})
     u = ud.T  # the shift is real, so its adjoint is its transpose
     residuals = {
         "jminus_vs_u_modulus": inf_norm(jminus - u @ modulus),

@@ -7,9 +7,8 @@ shift.  P = S^dagger Q S realizes sigma1^dagger as omega^P.
 
 Also home to what the numeric layer shares: the entrywise sup norm every
 residual is measured in, the check record `su2q` and this module return,
-and the form their diagonal, ladder and shift matrices are multiplied in
-(`operand`: the dense array below DIAGONAL_PRODUCT_MIN_N, its `Diagonals`
-from there on).
+and `Diagonals`, the form their diagonal, ladder and shift matrices are
+multiplied in at every size.
 """
 
 from __future__ import annotations
@@ -47,17 +46,6 @@ class NumericCheck:
                     "pass": self.ok}
         return {"check": self.check, "params": self.params, "residuals": self.residuals,
                 "convention": self.convention, "pass": self.ok}
-
-
-# Below this size a check's matrices stay dense and every product is BLAS's;
-# from it on they are their Diagonals.  On a 2-vCPU x86_64 VM (numpy 2.4,
-# one BLAS thread) the residual |D L - L| of a diagonal D and a ladder L
-# takes 66 us from dense arrays and 41 us from Diagonals (their scans
-# included) at n = 64, 47 against 40 us at n = 56 and 17 against 36 us at
-# n = 32.  64 also keeps verify's numeric suites (n <= 24) and the small
-# operations, which set the benchmark's median, clear of the first use of
-# the Diagonals code in each forked CLI process.
-DIAGONAL_PRODUCT_MIN_N = 64
 
 
 class Diagonals(dict):
@@ -134,33 +122,9 @@ class Diagonals(dict):
         return Diagonals(self.n, {p: c * v for p, v in self.items()})
 
 
-def operand(a):
-    """The form a check computes with, of a square array or of the matrix
-    with the diagonals {offset: vector} (ascending, at least one): below
-    DIAGONAL_PRODUCT_MIN_N the dense array (a itself when it is one), from
-    there on its Diagonals.
-
-    Below the size a matrix given by diagonals is built with `np.diag`,
-    which its ladders already went through, and no Diagonals, generator or
-    Python scalar sum runs: in a freshly forked CLI process the first use of
-    each costs page faults and tens of microseconds, and the small
-    operations set the benchmark's median.
-    """
-    if not isinstance(a, dict):  # a square array
-        return a if len(a) < DIAGONAL_PRODUCT_MIN_N else Diagonals.of(a)
-    diagonals = iter(a.items())
-    p, v = next(diagonals)
-    if len(v) + abs(p) >= DIAGONAL_PRODUCT_MIN_N:
-        return Diagonals(len(v) + abs(p), a)
-    out = np.diag(v, p)
-    for p, v in diagonals:
-        out = out + np.diag(v, p)
-    return out
-
-
 def power(a, k: int):
-    """a**k for an operand and k >= 1, squaring in the order numpy's own
-    matrix power multiplies."""
+    """a**k for Diagonals (or an array) and k >= 1, squaring in the order
+    numpy's own matrix power multiplies."""
     if k < 1:
         raise ValueError(f"power must be at least 1, got {k}")
     result = None
@@ -267,13 +231,8 @@ def weyl_check(pair: WeylPair) -> NumericCheck:
     """Test every generator identity in the convention WEYL_CONVENTION
     records, and gate each residual by WEYL_GATES."""
     n = pair.n
-    # the identity as a check's operand; no np.ones below the size, where
-    # its first use in a forked CLI process costs more than np.eye
-    if n < DIAGONAL_PRODUCT_MIN_N:
-        one = np.eye(n, dtype=complex)
-    else:
-        one = Diagonals(n, {0: np.ones(n, dtype=complex)})
-    shift, clock = operand(pair.sigma1), operand(pair.sigma2)
+    one = Diagonals(n, {0: np.ones(n, dtype=complex)})
+    shift, clock = Diagonals.of(pair.sigma1), Diagonals.of(pair.sigma2)
     res = {"sigma1_pow_n": inf_norm(power(shift, n) - one),
            "sigma2_pow_n": inf_norm(power(clock, n) - one)}
     # Each dense residual is one n x n array, differenced in place and

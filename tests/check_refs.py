@@ -4,12 +4,10 @@ Runs every argv of `perfbench/refs/qgauss.json` with N <= 8 and of
 `perfbench/refs/scalar.json` with N <= 16 through `psicalc.cli.main` in
 this one process, and compares the sha256 prefix, byte count and exit
 code of each stdout with its reference.  It also runs every argv of
-`perfbench/refs/numeric.json` whose matrix (2j + 1 for `spin`, N for
-`weyl`) has size DIAGONAL_PRODUCT_MIN_N (64) or more, where the checks
-work on diagonals, and compares its exit code: the numeric references
-hold no stdout, since the floats may change in their last bits.  With
---all it runs every argv of all three.  The reference files are only
-read.  Exits 1 when any argv differs:
+`perfbench/refs/numeric.json` and compares its exit code: the numeric
+references hold no stdout, since the floats may change in their last
+bits.  With --all it runs every argv of all three.  The reference files
+are only read.  Exits 1 when any argv differs:
 
     PYTHONPATH=src python tests/check_refs.py [--all]
 """
@@ -26,7 +24,6 @@ import sys
 from fractions import Fraction
 
 from psicalc.cli import main as cli_main
-from psicalc.weyl import DIAGONAL_PRODUCT_MIN_N
 
 REF_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "refs")
@@ -34,7 +31,7 @@ REF_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 DEFAULT = {
     "qgauss": lambda size: size <= 8,
     "scalar": lambda size: size <= 16,
-    "numeric": lambda size: size >= DIAGONAL_PRODUCT_MIN_N,
+    "numeric": lambda size: True,
 }
 
 

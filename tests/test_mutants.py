@@ -9,6 +9,10 @@ catching fails here.  Equivalent mutants change no value the catchers can
 see; each is listed with the reason, and the test checks that its
 catchers still pass.
 
+The numeric checks compute on `weyl.Diagonals` at every size, so a mutant
+of its product, difference or transpose reaches the `su2`, `polar` and
+`weyl` suites at the small sizes they run.
+
 Run as a script, it prints every mutant against every verify suite and
 the random cells, and exits 1 when a row differs from the table:
 
@@ -89,8 +93,9 @@ def _pincherle_last(real, s):
 
 def _rebuilt(module, name, old, new):
     """`module.name` rebuilt in its module from its source with `old`
-    replaced by `new`; a dotted name reaches a method of a class."""
-    real = textwrap.dedent(inspect.getsource(functools.reduce(getattr, name.split("."), module)))
+    replaced by `new`; a dotted name reaches a method or property of a class."""
+    target = functools.reduce(getattr, name.split("."), module)
+    real = textwrap.dedent(inspect.getsource(getattr(target, "fget", target)))
     mutant = real.replace(old, new)
     assert mutant != real, f"{name} no longer contains {old!r}"
     namespace = dict(vars(module))
@@ -156,6 +161,13 @@ def _moduli_swapped(mp):
         mp.setattr(owner, "polar_decompose", polar)
 
 
+def _diagonals_mutant(method, old, new):
+    """Install `weyl.Diagonals.method` rebuilt with `old` replaced by `new`;
+    every numeric check computes on Diagonals."""
+    return lambda mp: mp.setattr(weyl.Diagonals, method, _rebuilt(
+        weyl, f"Diagonals.{method}", old, new))
+
+
 def _mutator_9(real, psi, n):
     got = real(psi, n)
     return got + ONE if n == 9 else got
@@ -198,6 +210,14 @@ MUTANTS = {
     "shift corner entry dropped": (
         lambda mp: _wrap(mp, [weyl], "cyclic_shift", _corner_dropped), ("weyl",)),
     "polar modulus and comodulus swapped": (_moduli_swapped, ("polar",)),
+    "Diagonals product drops the last row of each diagonal pair": (
+        _diagonals_mutant("__matmul__", "min(n, n - p, n - r)", "min(n, n - p, n - r) - 1"),
+        ("su2", "polar", "weyl")),
+    "Diagonals difference drops the other's highest diagonal": (
+        _diagonals_mutant("__sub__", "in other.items():", "in list(other.items())[:-1]:"),
+        ("su2", "weyl")),
+    "Diagonals transpose keeps the offset's sign": (
+        _diagonals_mutant("T", "(-p, v)", "(p, v)"), ("polar",)),
 }
 
 # name -> (install, the catchers that read the mutated value, why it is equivalent)

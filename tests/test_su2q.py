@@ -11,7 +11,7 @@ from psicalc.su2q import (
     su2_build,
     su2_commutator_check,
 )
-from psicalc.weyl import DIAGONAL_PRODUCT_MIN_N, Diagonals, inf_norm, operand
+from psicalc.weyl import Diagonals, inf_norm
 
 Q_SET = (0.5, 1.5, 2.0, np.exp(1j * np.pi / 7), np.exp(1j * np.pi / 12))
 
@@ -108,8 +108,8 @@ def test_diagonal_ladder_products():
 def test_polar_spin_half_hand_values():
     rep = su2_build(0.5, q=1.5)
     pol = polar_decompose(rep)
-    modulus = _psd_sqrt(rep.jplus @ rep.jminus, 1e-12)
-    assert np.allclose(np.diag(modulus), [1.0, 0.0])
+    modulus = _psd_sqrt(Diagonals.of(rep.jplus @ rep.jminus), 1e-12)
+    assert np.allclose(modulus.diagonal(), [1.0, 0.0])
     assert pol.ok
 
 
@@ -121,7 +121,6 @@ def test_polar_identities_grid():
             assert pol.convention["unitary"] == "adjoint(sigma1)"
 
 
-# 3/2 and 3 run on dense arrays, 32 (dimension 65) on diagonals
 @pytest.mark.parametrize("j", [3 / 2, 3, 32])
 def test_polar_fails_ladders_above_the_other_diagonal(j):
     # J- above the diagonal would fit the shift itself, not its adjoint
@@ -144,17 +143,17 @@ def test_polar_skips_non_diagonal_modulus(j):
     assert pol.skipped == "not diagonal" and pol.ok and not pol.residuals
 
 
-# _psd_sqrt takes and returns an operand: the dense array below
-# DIAGONAL_PRODUCT_MIN_N, Diagonals from there on
-PSD_SIZES = (2, DIAGONAL_PRODUCT_MIN_N)
+# _psd_sqrt takes and returns Diagonals, of the smallest ladder product and
+# of a large one
+PSD_SIZES = (2, 64)
 
 
 @pytest.mark.parametrize("n", PSD_SIZES)
 def test_psd_sqrt_simple(n):
     roots = np.arange(2.0, n + 2.0)
-    got = _psd_sqrt(operand(np.diag(roots ** 2).astype(complex)), 0.0)
-    assert isinstance(got, Diagonals) == (n >= DIAGONAL_PRODUCT_MIN_N)
-    assert inf_norm(got - operand(np.diag(roots).astype(complex))) == 0
+    got = _psd_sqrt(Diagonals.of(np.diag(roots ** 2).astype(complex)), 0.0)
+    assert list(got) == [0]
+    assert inf_norm(got - Diagonals.of(np.diag(roots).astype(complex))) == 0
 
 
 @pytest.mark.parametrize("n", PSD_SIZES)
@@ -162,7 +161,7 @@ def test_psd_sqrt_rejects_non_diagonal(n):
     bent = np.eye(n, dtype=complex)
     bent[0, 1] = 1
     with pytest.raises(ValueError, match="not diagonal"):
-        _psd_sqrt(operand(bent), 0.0)
+        _psd_sqrt(Diagonals.of(bent), 0.0)
 
 
 @pytest.mark.parametrize("n", PSD_SIZES)
@@ -170,13 +169,13 @@ def test_psd_sqrt_rejects_negative_real_part(n):
     d = np.ones(n, dtype=complex)
     d[0] = -1.0
     with pytest.raises(ValueError):
-        _psd_sqrt(operand(np.diag(d)), 0.0)
+        _psd_sqrt(Diagonals.of(np.diag(d)), 0.0)
 
 
 @given(st.lists(st.floats(min_value=1e-6, max_value=100.0), min_size=1, max_size=8))
 @settings(max_examples=80)
 def test_psd_sqrt_squares_back(entries):
     for d in (np.diag(np.array(entries, dtype=complex)),
-              np.diag(np.resize(np.array(entries, dtype=complex), DIAGONAL_PRODUCT_MIN_N))):
-        r = _psd_sqrt(operand(d), 0.0)
-        assert inf_norm(r @ r - operand(d)) <= 1e-13
+              np.diag(np.resize(np.array(entries, dtype=complex), 64))):
+        r = _psd_sqrt(Diagonals.of(d), 0.0)
+        assert inf_norm(r @ r - Diagonals.of(d)) <= 1e-13

@@ -4,14 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from psicalc import weyl
 from psicalc.su2q import polar_decompose, su2_build, su2_commutator_check
 from psicalc.weyl import (
-    DIAGONAL_PRODUCT_MIN_N,
     Diagonals,
     cyclic_shift,
     inf_norm,
-    operand,
     p_closed_form,
     power,
     shift_spectrum_residual,
@@ -131,15 +128,12 @@ def test_inf_norm_of_zero():
     assert inf_norm(np.eye(3, dtype=complex) - np.eye(3, dtype=complex)) == 0
 
 
-# the two forms of operand: the dense array below DIAGONAL_PRODUCT_MIN_N,
-# whose products are BLAS's, and its Diagonals from there on
+# Diagonals against the dense arrays they hold, whose products are BLAS's
 PRODUCT_SIZES = (2, 63, 64, 65, 201, 256)
 
 
 def _dense(x):
-    """The n x n array of an operand of either form."""
-    if not isinstance(x, Diagonals):
-        return x
+    """The n x n array of Diagonals."""
     out = np.zeros((x.n, x.n), dtype=complex)
     for p, v in x.items():
         out += np.diag(v, p)
@@ -184,26 +178,18 @@ def _product_by_entries(x, y):
 def test_operands_agree_with_dense_arrays(n):
     omega = complex(np.exp(2j * np.pi / n))
     for name, a, b in _products(n):
-        x, y = operand(a), operand(b)
-        if n < DIAGONAL_PRODUCT_MIN_N:
-            assert x is a and y is b, name
-        else:
-            assert isinstance(x, Diagonals) and isinstance(y, Diagonals), name
-            assert np.array_equal(_dense(x), a) and np.array_equal(_dense(x.T), a.T), name
+        x, y = Diagonals.of(a), Diagonals.of(b)
+        assert np.array_equal(_dense(x), a) and np.array_equal(_dense(x.T), a.T), name
         # sums, differences and scalar multiples: the same entries, so the
         # same residuals bit for bit
         assert inf_norm(x - y) == inf_norm(a - b), (n, name)
         assert inf_norm(x + y) == inf_norm(a + b), (n, name)
         assert inf_norm(omega * x - y) == inf_norm(omega * a - b), (n, name)
-        # products: BLAS's below the size; from it on the diagonals' sums,
-        # in their order, and BLAS's to rounding
+        # products: the diagonals' sums, in their order, and BLAS's to rounding
         got, want = x @ y, a @ b
-        if n < DIAGONAL_PRODUCT_MIN_N:
-            assert np.array_equal(got, want), (n, name)
-        else:
-            assert np.array_equal(_dense(got), _product_by_entries(x, y)), (n, name)
+        assert np.array_equal(_dense(got), _product_by_entries(x, y)), (n, name)
         assert inf_norm(_dense(got) - want) <= 1e-14 * inf_norm(a) * inf_norm(b), (n, name)
-        assert inf_norm(got - operand(want)) == inf_norm(_dense(got) - want), (n, name)
+        assert inf_norm(got - Diagonals.of(want)) == inf_norm(_dense(got) - want), (n, name)
 
 
 def test_diagonal_offsets_of_the_structured_matrices():
@@ -221,9 +207,9 @@ def test_diagonal_offsets_of_the_structured_matrices():
 
 @pytest.mark.parametrize("n", PRODUCT_SIZES)
 def test_operand_of_given_diagonals(n):
-    # the cyclic shift by its two diagonals; n is read off their lengths
-    x = operand({1 - n: np.ones(1, dtype=complex), 1: np.ones(n - 1, dtype=complex)})
-    assert isinstance(x, Diagonals) == (n >= DIAGONAL_PRODUCT_MIN_N)
+    # the cyclic shift by its two diagonals, as polar_decompose builds it
+    x = Diagonals(n, {1 - n: np.ones(1, dtype=complex), 1: np.ones(n - 1, dtype=complex)})
+    assert list(x) == list(Diagonals.of(cyclic_shift(n))) == [1 - n, 1]
     assert np.array_equal(_dense(x), cyclic_shift(n))
 
 
@@ -231,7 +217,7 @@ def _dense_reference_powers(n):
     """Every k = 1 .. 2n up to n = 65; above, where one dense
     np.linalg.matrix_power costs milliseconds, the k near 1, n and 2n and
     the powers of two."""
-    if n <= DIAGONAL_PRODUCT_MIN_N + 1:
+    if n <= 65:
         return set(range(1, 2 * n + 1))
     return {1, 2, 3, n - 1, n, n + 1, 2 * n - 1, 2 * n} | {1 << e for e in range((2 * n).bit_length())}
 
@@ -242,8 +228,8 @@ def test_shift_and_clock_powers(n):
     clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
     dense = _dense_reference_powers(n)
     for k in range(1, 2 * n + 1):
-        shift_k = _dense(power(operand(shift), k))
-        clock_k = _dense(power(operand(clock), k))
+        shift_k = _dense(power(Diagonals.of(shift), k))
+        clock_k = _dense(power(Diagonals.of(clock), k))
         # the shift's powers are permutations, exact in every product order;
         # the clock's rounding grows with its k factors
         assert np.array_equal(shift_k, np.eye(n, k=k % n) + np.eye(n, k=k % n - n)), k
@@ -259,9 +245,45 @@ def test_power_rejects_non_positive_exponents():
         power(cyclic_shift(3), 0)
 
 
-def _all_dense(monkeypatch):
-    """Every operand dense, whatever its size."""
-    monkeypatch.setattr(weyl, "DIAGONAL_PRODUCT_MIN_N", 1 << 30)
+def _spin_residuals_by_dense_products(rep):
+    """su2_commutator_check's and polar_decompose's residuals, from the dense
+    ladders and BLAS products."""
+    j3, jplus, jminus = rep.j3, rep.jplus, rep.jminus
+    b = rep.brackets
+    target = np.diag([b[x] if x >= 0 else -b[-x] for x in range(rep.j2, -rep.j2 - 1, -2)])
+    commutators = {
+        "j3_jplus": inf_norm(j3 @ jplus - jplus @ j3 - jplus),
+        "j3_jminus": inf_norm(j3 @ jminus - jminus @ j3 + jminus),
+        "jplus_jminus": inf_norm(jplus @ jminus - jminus @ jplus - target),
+    }
+    modulus, comodulus = (np.diag(np.sqrt(np.clip(np.diag(m).real, 0.0, None).astype(complex)))
+                          for m in (jplus @ jminus, jminus @ jplus))
+    ud = cyclic_shift(rep.dim)
+    u = ud.T
+    polar = {
+        "jminus_vs_u_modulus": inf_norm(jminus - u @ modulus),
+        "jminus_vs_comodulus_u": inf_norm(jminus - comodulus @ u),
+        "jplus_vs_modulus_udag": inf_norm(jplus - modulus @ ud),
+        "jplus_vs_udag_comodulus": inf_norm(jplus - ud @ comodulus),
+    }
+    return [commutators, polar]
+
+
+def _weyl_residuals_by_dense_products(pair):
+    """weyl_check's residuals, from dense arrays and BLAS products."""
+    n, one = pair.n, np.eye(pair.n)
+    shift, clock = pair.sigma1, pair.sigma2
+    off = pair.pmat - p_closed_form(n)
+    np.fill_diagonal(off, 0.0)
+    return {
+        "sigma1_pow_n": inf_norm(np.linalg.matrix_power(shift, n) - one),
+        "sigma2_pow_n": inf_norm(np.linalg.matrix_power(clock, n) - one),
+        "s_unitary": inf_norm(pair.smat.conj().T @ pair.smat - one),
+        "weyl_relation": inf_norm(shift @ clock - (pair.omega * clock) @ shift),
+        "omega_p_vs_shift": inf_norm(pair.omega_p - shift.conj().T),
+        "p_offdiagonal": inf_norm(off),
+        "p_diagonal": inf_norm(np.diag(pair.pmat) - (n - 1) / 2.0),
+    }
 
 
 def _assert_residuals_match(got, want):
@@ -272,20 +294,17 @@ def _assert_residuals_match(got, want):
 
 
 @pytest.mark.parametrize("q", [None, 0.5, 1.5, 1.0000001])
-def test_spin_residuals_match_dense_products(q, monkeypatch):
+def test_spin_residuals_match_dense_products(q):
     rep = su2_build(100, q)
     got = [su2_commutator_check(rep).residuals, polar_decompose(rep).residuals]
-    _all_dense(monkeypatch)
-    want = [su2_commutator_check(rep).residuals, polar_decompose(rep).residuals]
-    _assert_residuals_match(got, want)
+    _assert_residuals_match(got, _spin_residuals_by_dense_products(rep))
 
 
 @pytest.mark.parametrize("n", [64, 101])
-def test_weyl_residuals_match_dense_products(n, monkeypatch):
+def test_weyl_residuals_match_dense_products(n):
     pair = weyl_build(n)
     got = weyl_check(pair).residuals
-    _all_dense(monkeypatch)
-    want = weyl_check(pair).residuals
+    want = _weyl_residuals_by_dense_products(pair)
     # BLAS rounds the clock's complex products its own way: sigma2**n
     # differs in the last bits, within the clock-power bound above
     assert abs(got.pop("sigma2_pow_n") - want.pop("sigma2_pow_n")) <= 4e-15 * n
@@ -303,7 +322,7 @@ def _peak_bytes(fn, *args):
 
 
 def test_spin_checks_hold_no_dense_matrix_at_large_j():
-    # from n = 64 on the checks work on diagonals: their peak stays below
+    # the checks work on diagonals: their peak stays below
     # one 201 x 201 complex array, which each dense product or difference is
     rep = su2_build(100, q=0.5)
     one_matrix = rep.dim ** 2 * 16
