@@ -6,9 +6,11 @@ what `--format json` prints, and `text` is either a list of lines or a
 `(header, rows)` table of strings.  `main` alone writes stdout: the JSON
 payload, a csv table, padded text columns, or the lines as they are, as
 the pieces `_stdout` yields.  A payload value may be a generator of JSON
-text (`_matrix_json`): `spin` and `weyl` render each matrix by runs of
-equal entries, one row at a time, only as `main` writes it, so neither a
-whole matrix's text nor the whole output is ever held.  Every command has
+text (`_matrix_json`): `spin` and `weyl` render each matrix one row at a
+time, only as `main` writes it, so neither a whole matrix's text nor the
+whole output is ever held.  The banded matrices (J3, J+, J-, the clock and
+the shift) are `weyl.Diagonals` and are written from their diagonals; the
+dense Sylvester and P matrices by runs of equal entries.  Every command has
 computed its arrays and checks before the first byte is written.
 `COMMANDS` registers each command with its help and arguments.  `main`
 reads a plain argv (a command and then flag, value pairs) straight from it,
@@ -56,7 +58,7 @@ from .ratfun import QSYM, ZERO, parse_ratfun
 from .sequences import basic_sequence, q_laguerre_closed, sheffer_sequence
 from .su2q import TOLERANCE, polar_decompose, su2_build, su2_commutator_check
 from .verify import SUITES, run_suites
-from .weyl import weyl_build, weyl_check
+from .weyl import Diagonals, weyl_build, weyl_check
 
 USAGE_ERROR = 2
 CLOSED_STDOUT = 141
@@ -204,20 +206,53 @@ def cmd_nogo(args: argparse.Namespace) -> tuple:
                                 f"note: {plane_mod.B0_CONVENTION}"]
 
 
-def _matrix_json(a):
-    """The JSON text of [re, im] of every entry of the 2-D array `a`, in
-    pieces: "[" with the first row, ", " with each later row, then "]".
+_ZERO_CELL = "[0.0, 0.0], "
 
-    The text is that of `json.dumps` over the per-entry lists.  A row is
-    read as runs of entries with equal bits, and a run of L entries is its
-    one cell written L times, so a diagonal or one-off-diagonal matrix costs
-    Python-object work per row and run, not per entry.  Each distinct float
-    among the run heads is written once, by one `json.dumps` over the
-    distinct values, so json itself spells NaN, Infinity and 5e-324.  Equal
-    and distinct mean equal and distinct bits: comparing values would merge
-    -0.0 with 0.0 and every NaN with the others.  Nothing is read before
-    the first piece is asked for, and the text is joined one row at a time.
+
+def _diagonals_json(d: Diagonals):
+    """`_matrix_json` of a `Diagonals`, read from its diagonals alone.
+
+    One `json.dumps` spells each diagonal's entries; a row is its band
+    entries with the text of as many zero cells as lie between them.
     """
+    import numpy as np  # only spin and weyl print matrices
+
+    n, bands = d.n, []
+    for p, v in d.items():
+        pairs = np.ascontiguousarray(v, dtype=complex).view(float).reshape(-1, 2).tolist()
+        cells = json.dumps(pairs)[2:-2].split("], [")
+        bands.append((p, max(0, -p), ["[" + cell + "], " for cell in cells]))
+    sep = "["
+    for i in range(n):
+        row, col = [], 0  # col: the first column not yet written
+        for p, top, cells in bands:  # diagonal p starts on row `top`
+            if 0 <= i + p < n:
+                row += (_ZERO_CELL * (i + p - col), cells[i - top])
+                col = i + p + 1
+        row.append(_ZERO_CELL * (n - col))
+        yield sep + "[" + "".join(row)[:-2] + "]"
+        sep = ", "
+    yield "]" if n else "[]"
+
+
+def _matrix_json(a):
+    """The JSON text of [re, im] of every entry of the matrix `a`, a 2-D
+    array or a `Diagonals`, in pieces: "[" with the first row, ", " with
+    each later row, then "]".
+
+    The text is that of `json.dumps` over the per-entry lists.  A
+    `Diagonals` is written by `_diagonals_json`.  An array's row is read as
+    runs of entries with equal bits, and a run of L entries is its one cell
+    written L times.  Each distinct float among the run heads is written
+    once, by one `json.dumps` over the distinct values, so json itself
+    spells NaN, Infinity and 5e-324.  Equal and distinct mean equal and
+    distinct bits: comparing values would merge -0.0 with 0.0 and every NaN
+    with the others.  Nothing is read before the first piece is asked for,
+    and the text is joined one row at a time.
+    """
+    if isinstance(a, Diagonals):
+        yield from _diagonals_json(a)
+        return
     import numpy as np  # only spin and weyl print matrices
 
     c = np.ascontiguousarray(a, dtype=complex)  # no copy: spin's and weyl's already are

@@ -5,7 +5,8 @@ A spin-j representation is its table of symmetric brackets
 deformation is supplied), in the basis that orders the magnetic number
 m = j, j-1, ..., -j down the rows.  The ladders read the finite structure
 function [n][2j+1-n] off that table, and the checks read their targets from
-it too.
+it too.  J3, J+ and J- are `weyl.Diagonals` of one diagonal each, which
+the checks multiply and `spin` prints as they are built.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .weyl import Diagonals, NumericCheck, inf_norm
+from .weyl import Diagonals, NumericCheck, cyclic_shift, inf_norm
 
 TOLERANCE = 1e-10  # default gate of both checks and of `spin --tolerance`
 
@@ -44,9 +45,9 @@ class SpinRep:
 
     j2: int  # 2j
     q: complex | None
-    j3: np.ndarray
-    jplus: np.ndarray
-    jminus: np.ndarray
+    j3: Diagonals
+    jplus: Diagonals
+    jminus: Diagonals
     brackets: tuple[complex, ...]  # q_bracket(k, q) for k = 0 .. 2j
 
     @property
@@ -68,15 +69,16 @@ def su2_build(j, q: complex | None = None) -> SpinRep:
     """
     jf = _as_half_integer(j)
     j2 = int(jf * 2)
-    try:  # before any (2j+1)^2 matrix, so an overflowing q fails as such
+    try:
         b = tuple(q_bracket(k, q) for k in range(j2 + 1))
     except (OverflowError, ZeroDivisionError):
         # q^k overflows, or q^-k divides by a q^k that underflowed to 0; the
         # largest bracket argument here, 2j, is also the largest the checks use
         raise ValueError(f"q = {q} overflows the deformed bracket at j = {jf}") from None
-    j3 = np.diag(np.array([float(jf - i) for i in range(j2 + 1)], dtype=complex))
-    jplus = np.diag(np.sqrt([b[n] * b[j2 + 1 - n] for n in range(1, j2 + 1)]), 1)
-    return SpinRep(j2, q, j3, jplus, np.ascontiguousarray(jplus.T), b)
+    j3 = Diagonals(j2 + 1, {0: j2 / 2 - np.arange(j2 + 1, dtype=complex)})
+    jplus = Diagonals(j2 + 1, {1: np.sqrt([b[n] * b[j2 + 1 - n] for n in range(1, j2 + 1)])})
+    # J- shares J+'s vector: no Diagonals operation writes into its operands
+    return SpinRep(j2, q, j3, jplus, jplus.T, b)
 
 
 def _params(rep: SpinRep) -> dict:
@@ -86,7 +88,7 @@ def _params(rep: SpinRep) -> dict:
 
 def su2_commutator_check(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericCheck:
     """Residuals of [J3, J+/-] = +/-J+/- and [J+, J-] = bracket(2 J3)."""
-    j3, jplus, jminus = Diagonals.of(rep.j3), Diagonals.of(rep.jplus), Diagonals.of(rep.jminus)
+    j3, jplus, jminus = rep.j3, rep.jplus, rep.jminus
     b = rep.brackets  # [2m] for m = j .. -j, with [-x] = -[x]
     target = Diagonals(rep.dim, {0: np.array([b[x] if x >= 0 else -b[-x]
                                               for x in range(rep.j2, -rep.j2 - 1, -2)])})
@@ -100,14 +102,12 @@ def su2_commutator_check(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericC
 
 
 def _psd_sqrt(prod: Diagonals, tol: float) -> Diagonals:
-    """Square root of a diagonal, positive semidefinite ladder product.
+    """Square root of the diagonal of a positive semidefinite ladder product.
 
-    Off-diagonal entries, negative real parts or imaginary parts beyond tol
-    reject it; negative rounding noise within tol is clipped to zero.
+    Negative real parts or imaginary parts beyond tol reject it; negative
+    rounding noise within tol is clipped to zero.
     """
     d = prod.diagonal()
-    if inf_norm(prod - Diagonals(prod.n, {0: d})) > tol:
-        raise ValueError("not diagonal")
     if np.any(d.real < -tol) or np.any(np.abs(d.imag) > tol):
         raise ValueError("modulus not PSD for this q")
     return Diagonals(prod.n, {0: np.sqrt(np.clip(d.real, 0.0, None).astype(complex))})
@@ -128,23 +128,28 @@ def polar_decompose(rep: SpinRep, tolerance: float = TOLERANCE) -> NumericCheck:
     by the zero eigenvalue of the modulus.
 
     Deformations with a non-positive interior bracket value (k up to 2j)
-    come back skipped, like any modulus that is not diagonal PSD: they need
-    complex square roots, or degenerate the modulus where rounding dominates.
+    come back skipped, like any modulus that is not PSD: they need complex
+    square roots, or degenerate the modulus where rounding dominates.  A
+    ladder product off the diagonal has no diagonal modulus and fails.
     """
     for v in rep.brackets[1:]:
         if abs(v.imag) > 1e-9 * max(1.0, abs(v)) or v.real <= 1e-9:
             return NumericCheck("polar", _params(rep), skipped="modulus not PSD for this q")
-    jplus, jminus = Diagonals.of(rep.jplus), Diagonals.of(rep.jminus)
+    jplus, jminus = rep.jplus, rep.jminus
     guard = max(tolerance, 1e-12) * max(1.0, inf_norm(jplus)) ** 2
+    squares = jplus @ jminus, jminus @ jplus
+    # ladders on the offsets +1 and -1 multiply to offset 0 only; a product
+    # off the diagonal fails the row by the size of its off-diagonal part
+    off = max(inf_norm(s - Diagonals(s.n, {0: s.diagonal()})) for s in squares)
+    if off > guard:
+        return NumericCheck("polar", _params(rep), {"ladder_products_offdiagonal": off},
+                            POLAR_CONVENTION, False)
     try:
-        modulus = _psd_sqrt(jplus @ jminus, guard)
-        comodulus = _psd_sqrt(jminus @ jplus, guard)
+        modulus, comodulus = (_psd_sqrt(s, guard) for s in squares)
     except ValueError as exc:
         return NumericCheck("polar", _params(rep), skipped=str(exc))
 
-    # the cyclic shift: ones above the diagonal and in the corner
-    n, ones = rep.dim, np.ones(rep.dim, dtype=complex)
-    ud = Diagonals(n, {1 - n: ones[:1], 1: ones[1:]})
+    ud = cyclic_shift(rep.dim)
     u = ud.T  # the shift is real, so its adjoint is its transpose
     residuals = {
         "jminus_vs_u_modulus": inf_norm(jminus - u @ modulus),

@@ -7,8 +7,10 @@ shift.  P = S^dagger Q S realizes sigma1^dagger as omega^P.
 
 Also home to what the numeric layer shares: the entrywise sup norm every
 residual is measured in, the check record `su2q` and this module return,
-and `Diagonals`, the form their diagonal, ladder and shift matrices are
-multiplied in at every size.
+and `Diagonals`, the form of the banded matrices from build to print.  The
+clock and the shift here, and J3, J+ and J- in `su2q`, are built as their
+diagonals, checked at every size and printed from them; S, P and omega^P
+stay dense arrays.
 """
 
 from __future__ import annotations
@@ -68,20 +70,6 @@ class Diagonals(dict):
         super().__init__(diagonals)
         self.n = n
 
-    @classmethod
-    def of(cls, a: np.ndarray) -> "Diagonals":
-        """The diagonals of the square array a that hold nonzero bits (so
-        -0.0 counts), as views of a.
-
-        The scan reads each float as an int64 word; a plain `np.unique` here
-        would import numpy.ma on its first call, in every forked CLI process.
-        """
-        n, words = len(a), a.itemsize // 8
-        entries = np.flatnonzero(np.ascontiguousarray(a).view(np.int64) != 0) // words
-        held = np.zeros(2 * n - 1, dtype=bool)
-        held[entries % n - entries // n + (n - 1)] = True
-        return cls(n, {p: a.diagonal(p) for p in (np.flatnonzero(held) - (n - 1)).tolist()})
-
     @property
     def T(self) -> "Diagonals":
         return Diagonals(self.n, [(-p, v) for p, v in reversed(self.items())])
@@ -90,6 +78,14 @@ class Diagonals(dict):
         """The entries of one diagonal, as `ndarray.diagonal` reads them."""
         v = self.get(offset)
         return np.zeros(self.n - abs(offset), dtype=complex) if v is None else v
+
+    def toarray(self) -> np.ndarray:
+        """The dense n x n complex array, zero off the diagonals."""
+        n = self.n
+        out = np.zeros((n, n), dtype=complex)
+        for p, v in self.items():  # diagonal p starts at flat index p, or -p rows down
+            out.reshape(-1)[p if p >= 0 else -p * n::n + 1][:len(v)] = v
+        return out
 
     def __matmul__(self, other: "Diagonals") -> "Diagonals":
         n, out = self.n, {}
@@ -137,11 +133,10 @@ def power(a, k: int):
         a = a @ a
 
 
-def cyclic_shift(n: int) -> np.ndarray:
+def cyclic_shift(n: int) -> Diagonals:
     """Ones on the superdiagonal plus a bottom-left corner entry."""
-    m = np.eye(n, k=1, dtype=complex)
-    m[-1, 0] = 1.0
-    return m
+    ones = np.ones(n, dtype=complex)
+    return Diagonals(n, {1 - n: ones[:1], 1: ones[1:]})
 
 
 def sylvester_matrix(n: int) -> np.ndarray:
@@ -155,8 +150,8 @@ def sylvester_matrix(n: int) -> np.ndarray:
 class WeylPair:
     n: int
     omega: complex
-    sigma1: np.ndarray
-    sigma2: np.ndarray
+    sigma1: Diagonals  # the shift
+    sigma2: Diagonals  # the clock
     pmat: np.ndarray
     smat: np.ndarray
     omega_p: np.ndarray  # S^dagger sigma2 S, the conjugated clock
@@ -174,14 +169,13 @@ def weyl_build(n: int) -> WeylPair:
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
     omega = complex(np.exp(2j * np.pi / n))
-    sigma2 = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
-    sigma1 = cyclic_shift(n)
+    clock = np.exp(2j * np.pi * np.arange(n) / n)  # sigma2's diagonal, omega^k
     smat = sylvester_matrix(n)
     sdag = smat.conj().T
     # a diagonal factor scales the columns of S^dagger
     pmat = (sdag * np.arange(n)) @ smat
-    omega_p = (sdag * np.diagonal(sigma2)) @ smat
-    return WeylPair(n, omega, sigma1, sigma2, pmat, smat, omega_p)
+    omega_p = (sdag * clock) @ smat
+    return WeylPair(n, omega, cyclic_shift(n), Diagonals(n, {0: clock}), pmat, smat, omega_p)
 
 
 def p_closed_form(n: int) -> np.ndarray:
@@ -232,7 +226,7 @@ def weyl_check(pair: WeylPair) -> NumericCheck:
     records, and gate each residual by WEYL_GATES."""
     n = pair.n
     one = Diagonals(n, {0: np.ones(n, dtype=complex)})
-    shift, clock = Diagonals.of(pair.sigma1), Diagonals.of(pair.sigma2)
+    shift, clock = pair.sigma1, pair.sigma2
     res = {"sigma1_pow_n": inf_norm(power(shift, n) - one),
            "sigma2_pow_n": inf_norm(power(clock, n) - one)}
     # Each dense residual is one n x n array, differenced in place and
@@ -242,7 +236,8 @@ def weyl_check(pair: WeylPair) -> NumericCheck:
     res["s_unitary"] = inf_norm(diff)
     del diff
     res["weyl_relation"] = inf_norm(shift @ clock - (pair.omega * clock) @ shift)
-    diff = pair.sigma1.conj().T  # its own copy, so it can hold the difference
+    diff = shift.T.toarray()  # a dense copy of the adjoint, to hold the difference
+    np.conjugate(diff, out=diff)
     np.subtract(pair.omega_p, diff, out=diff)
     res["omega_p_vs_shift"] = inf_norm(diff)
     del diff
@@ -257,9 +252,9 @@ def weyl_check(pair: WeylPair) -> NumericCheck:
 
 def shift_spectrum_residual(pair: WeylPair) -> float:
     """Largest |det(omega^k I - sigma1)| over the n-th roots of unity."""
-    n = pair.n
+    n, shift = pair.n, pair.sigma1.toarray()
     worst = 0.0
     for k in range(n):
         lam = np.exp(2j * np.pi * k / n)
-        worst = max(worst, abs(np.linalg.det(lam * np.eye(n, dtype=complex) - pair.sigma1)))
+        worst = max(worst, abs(np.linalg.det(lam * np.eye(n, dtype=complex) - shift)))
     return worst

@@ -17,7 +17,9 @@ from psicalc.psi import qgauss
 from psicalc.sequences import q_laguerre_closed
 from psicalc.su2q import su2_build
 from psicalc.verify import CheckResult
-from psicalc.weyl import weyl_build
+from psicalc.weyl import Diagonals, cyclic_shift, weyl_build
+
+from matrix_forms import dense
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +92,8 @@ def test_spin_and_weyl_build_matrices_only_for_json():
 
 def _matrix_json_per_entry(a) -> list:
     """The reference: [re, im] of each entry, one numpy scalar at a time."""
+    if isinstance(a, Diagonals):
+        a = dense(a)
     return [[[float(v.real), float(v.imag)] for v in row] for row in a]
 
 
@@ -121,6 +125,13 @@ def test_matrix_json_equals_the_per_entry_loop():
     spins = [su2_build(60, q=q) for q in (1.5, np.exp(1j * np.pi / 7))]
     ladders = [m for r in spins for m in (r.j3, r.jplus, r.jminus)]
     clock = weyl_build(100)
+    # Diagonals, written from their diagonals: an exact 0.0 in J3 at integer
+    # j, band entries of -0.0, the near-zero ladder entry at q = e^{i pi/7},
+    # and the shift's corner where the shift is all corner (n = 2) or nearly
+    signed_band = np.array([-0.0, 1.0, complex(0.0, -0.0), complex(-0.0, -0.0), 2.0])
+    banded = (su2_build(3).j3, Diagonals(5, {-2: signed_band[:3], 0: signed_band}),
+              Diagonals(5, {4: signed_band[:1]}), Diagonals(3, {}),
+              su2_build(3.5, q=np.exp(1j * np.pi / 7)).jplus, cyclic_shift(2), cyclic_shift(3))
     for a in (special, mixed, mixed.T, special.T, np.arange(6).reshape(2, 3),
               np.ones((2, 2), dtype=np.complex64), np.zeros((0, 3)), np.zeros((0, 0)),
               np.zeros((3, 0)), np.array([[2.5 - 1j]]), np.asfortranarray(mixed),
@@ -129,7 +140,7 @@ def test_matrix_json_equals_the_per_entry_loop():
               across_rows, across_rows.T, np.full((5, 7), 3.0), row, row.T,
               signed_zeros, zero_cells, two_nans, nan_cells,
               runs64, runs64.T, distinct.astype(np.complex64), *ladders,
-              clock.sigma1, clock.sigma2):
+              clock.sigma1, clock.sigma2, *banded):
         assert "".join(cli._matrix_json(a)) == json.dumps(_matrix_json_per_entry(a))
 
 
@@ -459,7 +470,7 @@ def test_bad_input_exits_2_with_empty_stdout(capsys, tmp_path, monkeypatch, argv
                          ids=["1e200", "1e-300", "j20000-2"])
 def test_spin_bracket_overflow_is_a_usage_error(capsys, j, q):
     # q^2 overflows at 1e200 and underflows to 0 at 1e-300; 2^k overflows at
-    # k > 1023, which fails before the 40001^2 matrices would be allocated
+    # k > 1023
     assert main(["spin", "--j", j, "--q", q]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -9,9 +9,10 @@ catching fails here.  Equivalent mutants change no value the catchers can
 see; each is listed with the reason, and the test checks that its
 catchers still pass.
 
-The numeric checks compute on `weyl.Diagonals` at every size, so a mutant
-of its product, difference or transpose reaches the `su2`, `polar` and
-`weyl` suites at the small sizes they run.
+The numeric matrices are `weyl.Diagonals` from their build on (J- is the
+transpose of J+), and the checks compute on them at every size, so a
+mutant of its product, difference or transpose reaches the `su2`, `polar`
+and `weyl` suites at the small sizes they run.
 
 Run as a script, it prints every mutant against every verify suite and
 the random cells, and exits 1 when a row differs from the table:
@@ -138,25 +139,20 @@ def _canonical_skips_gcd(mp):
 def _conjugated_clock(mp):
     """sigma2 = diag(omega-bar^k): the relation and omega^P flip to the
     other convention, which a check that tried both would accept."""
-    build = _rebuilt(weyl, "weyl_build",
-                     "sigma2 = np.diag(np.exp(2j", "sigma2 = np.diag(np.exp(-2j")
+    build = _rebuilt(weyl, "weyl_build", "clock = np.exp(2j", "clock = np.exp(-2j")
     for owner in (weyl, verify):
         mp.setattr(owner, "weyl_build", build)
 
 
 def _corner_dropped(real, n):
     m = real(n)
-    m[n - 1, 0] = 0
+    del m[1 - n]
     return m
 
 
 def _moduli_swapped(mp):
-    polar = _rebuilt(
-        su2q, "polar_decompose",
-        "modulus = _psd_sqrt(jplus @ jminus, guard)\n"
-        "        comodulus = _psd_sqrt(jminus @ jplus, guard)",
-        "modulus = _psd_sqrt(jminus @ jplus, guard)\n"
-        "        comodulus = _psd_sqrt(jplus @ jminus, guard)")
+    polar = _rebuilt(su2q, "polar_decompose",
+                     "modulus, comodulus = (", "comodulus, modulus = (")
     for owner in (su2q, verify):
         mp.setattr(owner, "polar_decompose", polar)
 
@@ -215,9 +211,9 @@ MUTANTS = {
         ("su2", "polar", "weyl")),
     "Diagonals difference drops the other's highest diagonal": (
         _diagonals_mutant("__sub__", "in other.items():", "in list(other.items())[:-1]:"),
-        ("su2", "weyl")),
+        ("su2", "polar", "weyl")),
     "Diagonals transpose keeps the offset's sign": (
-        _diagonals_mutant("T", "(-p, v)", "(p, v)"), ("polar",)),
+        _diagonals_mutant("T", "(-p, v)", "(p, v)"), ("su2", "polar", "weyl")),
 }
 
 # name -> (install, the catchers that read the mutated value, why it is equivalent)

@@ -11,7 +11,9 @@ from psicalc.su2q import (
     su2_build,
     su2_commutator_check,
 )
-from psicalc.weyl import Diagonals, inf_norm
+from psicalc.weyl import inf_norm
+
+from matrix_forms import dense, diagonals_of
 
 Q_SET = (0.5, 1.5, 2.0, np.exp(1j * np.pi / 7), np.exp(1j * np.pi / 12))
 
@@ -49,14 +51,14 @@ def test_invalid_spin_rejected():
 
 def test_spin_half_deformed_matrices():
     rep = su2_build(0.5, q=1.5)
-    assert inf_norm(rep.jplus - np.array([[0, 1], [0, 0]])) < 1e-15
-    assert inf_norm(rep.j3 - np.diag([0.5, -0.5])) == 0
+    assert inf_norm(dense(rep.jplus) - np.array([[0, 1], [0, 0]])) < 1e-15
+    assert inf_norm(dense(rep.j3) - np.diag([0.5, -0.5])) == 0
 
 
 def test_spin_one_undeformed():
     rep = su2_build(1)
-    assert np.allclose(np.diag(rep.jplus, 1), [np.sqrt(2), np.sqrt(2)])
-    assert abs(np.trace(rep.j3)) == 0
+    assert np.allclose(np.diag(dense(rep.jplus), 1), [np.sqrt(2), np.sqrt(2)])
+    assert abs(np.trace(dense(rep.j3))) == 0
 
 
 def test_structure_of_ladders():
@@ -65,24 +67,27 @@ def test_structure_of_ladders():
     for j2 in range(1, 13):
         for q in (None,) + Q_SET:
             rep = su2_build(j2 / 2, q=q)
-            assert inf_norm(np.tril(rep.jplus)) == 0
-            assert inf_norm(np.triu(rep.jminus)) == 0
-            assert np.array_equal(rep.jminus, rep.jplus.T), (j2, q)
+            jplus, jminus = dense(rep.jplus), dense(rep.jminus)
+            assert inf_norm(np.tril(jplus)) == 0
+            assert inf_norm(np.triu(jminus)) == 0
+            assert np.array_equal(jminus, jplus.T), (j2, q)
             assert len(rep.brackets) == j2 + 1
             assert all(rep.brackets[k] == q_bracket(k, q) for k in range(j2 + 1)), (j2, q)
 
 
 def test_commutators_spin_half_exact():
     rep = su2_build(0.5, q=1.7)
-    c = rep.jplus @ rep.jminus - rep.jminus @ rep.jplus
+    jplus, jminus = dense(rep.jplus), dense(rep.jminus)
+    c = jplus @ jminus - jminus @ jplus
     assert inf_norm(c - np.diag([1.0, -1.0])) < 1e-15
     assert su2_commutator_check(rep).ok
 
 
 def test_commutators_classical_spin_one():
     rep = su2_build(1)
-    c = rep.jplus @ rep.jminus - rep.jminus @ rep.jplus
-    assert inf_norm(c - 2 * rep.j3) < 1e-14
+    jplus, jminus = dense(rep.jplus), dense(rep.jminus)
+    c = jplus @ jminus - jminus @ jplus
+    assert inf_norm(c - 2 * dense(rep.j3)) < 1e-14
 
 
 def test_commutators_grid():
@@ -96,19 +101,19 @@ def test_continuity_at_undeformed_limit():
     for j2 in range(1, 9):
         near = su2_build(j2 / 2, q=1 + 1e-6)
         flat = su2_build(j2 / 2)
-        assert inf_norm(near.jplus - flat.jplus) <= 1e-4
+        assert inf_norm(dense(near.jplus) - dense(flat.jplus)) <= 1e-4
 
 
 def test_diagonal_ladder_products():
     rep = su2_build(2.5, q=1.5)
-    prod = rep.jplus @ rep.jminus
+    prod = dense(rep.jplus) @ dense(rep.jminus)
     assert inf_norm(prod - np.diag(np.diag(prod))) == 0
 
 
 def test_polar_spin_half_hand_values():
     rep = su2_build(0.5, q=1.5)
     pol = polar_decompose(rep)
-    modulus = _psd_sqrt(Diagonals.of(rep.jplus @ rep.jminus), 1e-12)
+    modulus = _psd_sqrt(diagonals_of(dense(rep.jplus) @ dense(rep.jminus)), 1e-12)
     assert np.allclose(modulus.diagonal(), [1.0, 0.0])
     assert pol.ok
 
@@ -136,11 +141,16 @@ def test_polar_rejects_indefinite_modulus():
 
 
 @pytest.mark.parametrize("j", [1, 32])
-def test_polar_skips_non_diagonal_modulus(j):
+def test_polar_fails_non_diagonal_ladder_products(j):
+    # only a modulus that is not PSD is a skip; a ladder product off the
+    # diagonal fails the row, by the size of its off-diagonal part
     rep = su2_build(j)
-    bent = dataclasses.replace(rep, jplus=rep.jplus + np.triu(np.ones((rep.dim, rep.dim)), 2))
-    pol = polar_decompose(bent)
-    assert pol.skipped == "not diagonal" and pol.ok and not pol.residuals
+    upper = diagonals_of(np.triu(np.ones((rep.dim, rep.dim)), 2))
+    pol = polar_decompose(dataclasses.replace(rep, jplus=rep.jplus + upper))
+    assert pol.skipped is None and not pol.ok
+    assert list(pol.residuals) == ["ladder_products_offdiagonal"]
+    assert pol.residuals["ladder_products_offdiagonal"] >= 1.0
+    assert pol.convention["unitary"] == "adjoint(sigma1)"
 
 
 # _psd_sqrt takes and returns Diagonals, of the smallest ladder product and
@@ -151,17 +161,9 @@ PSD_SIZES = (2, 64)
 @pytest.mark.parametrize("n", PSD_SIZES)
 def test_psd_sqrt_simple(n):
     roots = np.arange(2.0, n + 2.0)
-    got = _psd_sqrt(Diagonals.of(np.diag(roots ** 2).astype(complex)), 0.0)
+    got = _psd_sqrt(diagonals_of(np.diag(roots ** 2)), 0.0)
     assert list(got) == [0]
-    assert inf_norm(got - Diagonals.of(np.diag(roots).astype(complex))) == 0
-
-
-@pytest.mark.parametrize("n", PSD_SIZES)
-def test_psd_sqrt_rejects_non_diagonal(n):
-    bent = np.eye(n, dtype=complex)
-    bent[0, 1] = 1
-    with pytest.raises(ValueError, match="not diagonal"):
-        _psd_sqrt(Diagonals.of(bent), 0.0)
+    assert inf_norm(got - diagonals_of(np.diag(roots))) == 0
 
 
 @pytest.mark.parametrize("n", PSD_SIZES)
@@ -169,7 +171,7 @@ def test_psd_sqrt_rejects_negative_real_part(n):
     d = np.ones(n, dtype=complex)
     d[0] = -1.0
     with pytest.raises(ValueError):
-        _psd_sqrt(Diagonals.of(np.diag(d)), 0.0)
+        _psd_sqrt(diagonals_of(np.diag(d)), 0.0)
 
 
 @given(st.lists(st.floats(min_value=1e-6, max_value=100.0), min_size=1, max_size=8))
@@ -177,5 +179,5 @@ def test_psd_sqrt_rejects_negative_real_part(n):
 def test_psd_sqrt_squares_back(entries):
     for d in (np.diag(np.array(entries, dtype=complex)),
               np.diag(np.resize(np.array(entries, dtype=complex), 64))):
-        r = _psd_sqrt(Diagonals.of(d), 0.0)
-        assert inf_norm(r @ r - Diagonals.of(d)) <= 1e-13
+        r = _psd_sqrt(diagonals_of(d), 0.0)
+        assert inf_norm(r @ r - diagonals_of(d)) <= 1e-13

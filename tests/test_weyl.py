@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,14 +18,17 @@ from psicalc.weyl import (
     weyl_check,
 )
 
+from matrix_forms import dense, diagonals_of
+
 
 def test_dimension_two_is_pauli():
     pair = weyl_build(2)
-    assert inf_norm(pair.sigma1 - np.array([[0, 1], [1, 0]])) == 0
-    assert inf_norm(pair.sigma2 - np.diag([1.0, -1.0])) < 1e-15
+    sigma1, sigma2 = dense(pair.sigma1), dense(pair.sigma2)
+    assert inf_norm(sigma1 - np.array([[0, 1], [1, 0]])) == 0
+    assert inf_norm(sigma2 - np.diag([1.0, -1.0])) < 1e-15
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     assert inf_norm(pair.smat - hadamard) < 1e-15
-    anti = pair.sigma1 @ pair.sigma2 + pair.sigma2 @ pair.sigma1
+    anti = sigma1 @ sigma2 + sigma2 @ sigma1
     assert inf_norm(anti) < 1e-15
 
 
@@ -57,13 +61,13 @@ def _p_by_entries(n):
 
 def test_whole_array_builders_match_entrywise_loops():
     for n in list(range(2, 25)) + [256]:
-        assert np.array_equal(cyclic_shift(n), _shift_by_entries(n)), n
+        assert np.array_equal(dense(cyclic_shift(n)), _shift_by_entries(n)), n
         assert np.array_equal(p_closed_form(n), _p_by_entries(n)), n
 
 
 def test_shift_has_order_n():
     for n in (3, 5, 8):
-        assert inf_norm(np.linalg.matrix_power(cyclic_shift(n), n) - np.eye(n)) == 0
+        assert inf_norm(np.linalg.matrix_power(dense(cyclic_shift(n)), n) - np.eye(n)) == 0
 
 
 def test_sylvester_unitary():
@@ -88,7 +92,7 @@ def test_p_matches_closed_form():
 def test_conjugated_clock_is_adjoint_shift():
     for n in (3, 4, 12):
         pair = weyl_build(n)
-        assert inf_norm(pair.omega_p - pair.sigma1.conj().T) < 1e-8
+        assert inf_norm(pair.omega_p - dense(pair.sigma1).conj().T) < 1e-8
 
 
 def test_full_report_up_to_24():
@@ -112,8 +116,8 @@ def test_conjugated_clock_fails():
     # tests only the one weyl_build fixes
     for n in (3, 4, 12):
         pair = weyl_build(n)
-        sigma2 = pair.sigma2.conj()
-        omega_p = pair.smat.conj().T @ sigma2 @ pair.smat
+        sigma2 = Diagonals(n, {0: pair.sigma2.diagonal().conj()})
+        omega_p = pair.smat.conj().T @ dense(sigma2) @ pair.smat
         rep = weyl_check(dataclasses.replace(pair, sigma2=sigma2, omega_p=omega_p))
         assert not rep.ok
         assert rep.residuals["weyl_relation"] > 0.5 and rep.residuals["omega_p_vs_shift"] > 0.5
@@ -132,31 +136,23 @@ def test_inf_norm_of_zero():
 PRODUCT_SIZES = (2, 63, 64, 65, 201, 256)
 
 
-def _dense(x):
-    """The n x n array of Diagonals."""
-    out = np.zeros((x.n, x.n), dtype=complex)
-    for p, v in x.items():
-        out += np.diag(v, p)
-    return out
-
-
 def _products(n):
     """(name, a, b) factor pairs."""
     rng = np.random.default_rng(n)
     diag = np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     ladder = np.diag(np.sqrt(np.arange(1, n, dtype=complex)), 1)
     clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
-    dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    full = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     signed_zero = np.diag(np.where(np.arange(n) % 3 == 0, -0.0, np.arange(n) - 2.5)) + ladder
     tri = ladder.T + diag + 1j * ladder
     return [
         ("diagonal x ladder", diag, ladder),
         ("ladder x its transpose", ladder, np.ascontiguousarray(ladder.T)),
         ("ladder transpose view x diagonal", ladder.T, diag),
-        ("shift x clock", cyclic_shift(n), clock),
-        ("dense x diagonal", dense, diag),
+        ("shift x clock", _shift_by_entries(n), clock),
+        ("dense x diagonal", full, diag),
         ("all-zero x ladder", np.zeros((n, n), dtype=complex), ladder),
-        ("-0.0 on the diagonal x shift", signed_zero, cyclic_shift(n)),
+        ("-0.0 on the diagonal x shift", signed_zero, _shift_by_entries(n)),
         ("real -0.0 diagonal x ladder", np.diag(np.full(n, -0.0)), ladder),
         ("tridiagonal squared: three terms a diagonal entry", tri, tri),
     ]
@@ -178,8 +174,9 @@ def _product_by_entries(x, y):
 def test_operands_agree_with_dense_arrays(n):
     omega = complex(np.exp(2j * np.pi / n))
     for name, a, b in _products(n):
-        x, y = Diagonals.of(a), Diagonals.of(b)
-        assert np.array_equal(_dense(x), a) and np.array_equal(_dense(x.T), a.T), name
+        x, y = diagonals_of(a), diagonals_of(b)
+        assert np.array_equal(dense(x), a) and np.array_equal(dense(x.T), a.T), name
+        assert np.array_equal(x.toarray(), a) and np.array_equal(x.T.toarray(), a.T), name
         # sums, differences and scalar multiples: the same entries, so the
         # same residuals bit for bit
         assert inf_norm(x - y) == inf_norm(a - b), (n, name)
@@ -187,30 +184,35 @@ def test_operands_agree_with_dense_arrays(n):
         assert inf_norm(omega * x - y) == inf_norm(omega * a - b), (n, name)
         # products: the diagonals' sums, in their order, and BLAS's to rounding
         got, want = x @ y, a @ b
-        assert np.array_equal(_dense(got), _product_by_entries(x, y)), (n, name)
-        assert inf_norm(_dense(got) - want) <= 1e-14 * inf_norm(a) * inf_norm(b), (n, name)
-        assert inf_norm(got - Diagonals.of(want)) == inf_norm(_dense(got) - want), (n, name)
+        assert np.array_equal(dense(got), _product_by_entries(x, y)), (n, name)
+        assert inf_norm(dense(got) - want) <= 1e-14 * inf_norm(a) * inf_norm(b), (n, name)
+        assert inf_norm(got - diagonals_of(want)) == inf_norm(dense(got) - want), (n, name)
 
 
 def test_diagonal_offsets_of_the_structured_matrices():
     n = 64
-    assert list(Diagonals.of(cyclic_shift(n))) == [-(n - 1), 1]
-    assert list(Diagonals.of(cyclic_shift(n).T)) == [-1, n - 1]
-    assert list(Diagonals.of(np.eye(n, k=-5))) == [-5]
-    assert list(Diagonals.of(np.zeros((n, n)))) == []
-    assert list(Diagonals.of(np.diag(np.full(n, -0.0)))) == [0]  # nonzero bits
+    assert list(cyclic_shift(n)) == [-(n - 1), 1]
+    assert list(cyclic_shift(n).T) == [-1, n - 1]
+    assert list(weyl_build(n).sigma2) == [0]
+    rep = su2_build(Fraction(n - 1, 2), q=0.5)
+    assert (list(rep.j3), list(rep.jplus), list(rep.jminus)) == ([0], [1], [-1])
+    # the tests' reader of arrays keeps the diagonals with nonzero bits
+    assert list(diagonals_of(np.eye(n, k=-5))) == [-5]
+    assert list(diagonals_of(np.zeros((n, n)))) == []
+    assert list(diagonals_of(np.diag(np.full(n, -0.0)))) == [0]  # nonzero bits
     three = np.eye(n, k=1)
     three[n - 1, 0] = three[5, 3] = 1.0
-    assert list(Diagonals.of(three)) == [-(n - 1), -2, 1]
-    assert inf_norm(Diagonals.of(np.zeros((n, n)))) == 0.0
+    assert list(diagonals_of(three)) == [-(n - 1), -2, 1]
+    assert inf_norm(diagonals_of(np.zeros((n, n)))) == 0.0
 
 
 @pytest.mark.parametrize("n", PRODUCT_SIZES)
 def test_operand_of_given_diagonals(n):
-    # the cyclic shift by its two diagonals, as polar_decompose builds it
+    # the cyclic shift by its two diagonals, as weyl_build and polar_decompose build it
     x = Diagonals(n, {1 - n: np.ones(1, dtype=complex), 1: np.ones(n - 1, dtype=complex)})
-    assert list(x) == list(Diagonals.of(cyclic_shift(n))) == [1 - n, 1]
-    assert np.array_equal(_dense(x), cyclic_shift(n))
+    assert list(x) == list(cyclic_shift(n)) == list(diagonals_of(_shift_by_entries(n)))
+    assert np.array_equal(dense(x), dense(cyclic_shift(n)))
+    assert np.array_equal(cyclic_shift(n).toarray(), _shift_by_entries(n))
 
 
 def _dense_reference_powers(n):
@@ -224,18 +226,18 @@ def _dense_reference_powers(n):
 
 @pytest.mark.parametrize("n", PRODUCT_SIZES)
 def test_shift_and_clock_powers(n):
-    shift = cyclic_shift(n)
-    clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
-    dense = _dense_reference_powers(n)
+    pair = weyl_build(n)
+    shift, clock = dense(pair.sigma1), dense(pair.sigma2)
+    references = _dense_reference_powers(n)
     for k in range(1, 2 * n + 1):
-        shift_k = _dense(power(Diagonals.of(shift), k))
-        clock_k = _dense(power(Diagonals.of(clock), k))
+        shift_k = dense(power(pair.sigma1, k))
+        clock_k = dense(power(pair.sigma2, k))
         # the shift's powers are permutations, exact in every product order;
         # the clock's rounding grows with its k factors
         assert np.array_equal(shift_k, np.eye(n, k=k % n) + np.eye(n, k=k % n - n)), k
         want = np.diag(np.exp(2j * np.pi * (k * np.arange(n) % n) / n))
         assert inf_norm(clock_k - want) <= 4e-15 * k, k
-        if k in dense:
+        if k in references:
             assert np.array_equal(shift_k, np.linalg.matrix_power(shift, k)), k
             assert inf_norm(clock_k - np.linalg.matrix_power(clock, k)) <= 1e-13, k
 
@@ -248,7 +250,7 @@ def test_power_rejects_non_positive_exponents():
 def _spin_residuals_by_dense_products(rep):
     """su2_commutator_check's and polar_decompose's residuals, from the dense
     ladders and BLAS products."""
-    j3, jplus, jminus = rep.j3, rep.jplus, rep.jminus
+    j3, jplus, jminus = dense(rep.j3), dense(rep.jplus), dense(rep.jminus)
     b = rep.brackets
     target = np.diag([b[x] if x >= 0 else -b[-x] for x in range(rep.j2, -rep.j2 - 1, -2)])
     commutators = {
@@ -258,7 +260,7 @@ def _spin_residuals_by_dense_products(rep):
     }
     modulus, comodulus = (np.diag(np.sqrt(np.clip(np.diag(m).real, 0.0, None).astype(complex)))
                           for m in (jplus @ jminus, jminus @ jplus))
-    ud = cyclic_shift(rep.dim)
+    ud = _shift_by_entries(rep.dim)
     u = ud.T
     polar = {
         "jminus_vs_u_modulus": inf_norm(jminus - u @ modulus),
@@ -272,7 +274,7 @@ def _spin_residuals_by_dense_products(rep):
 def _weyl_residuals_by_dense_products(pair):
     """weyl_check's residuals, from dense arrays and BLAS products."""
     n, one = pair.n, np.eye(pair.n)
-    shift, clock = pair.sigma1, pair.sigma2
+    shift, clock = dense(pair.sigma1), dense(pair.sigma2)
     off = pair.pmat - p_closed_form(n)
     np.fill_diagonal(off, 0.0)
     return {
@@ -319,6 +321,13 @@ def _peak_bytes(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_spin_build_holds_no_dense_matrix_at_large_j():
+    # J3, J+ and J- are built as their diagonals: three 201 x 201 complex
+    # arrays would take 1.9 MB
+    one_matrix = 201 ** 2 * 16
+    assert _peak_bytes(su2_build, 100, 0.5) < one_matrix // 10
 
 
 def test_spin_checks_hold_no_dense_matrix_at_large_j():
